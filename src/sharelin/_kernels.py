@@ -1,11 +1,9 @@
 """Bitmask kernels for the two hot group-set operations.
 
-Sharing groups are uint64 bitmasks. Closing a group set under (guarded)
-pairwise union and forming the (guarded) pairwise union of two group sets
-dominate analysis time, so both carry a numba ``@njit`` implementation and
-a vectorised pure-numpy fallback. ``SHARELIN_KERNELS=numpy`` forces the
-fallback, ``SHARELIN_KERNELS=numba`` insists on the compiled path; by
-default numba is used when it imports.
+Sharing groups are bitmasks over at most 64 variables. Closing a group set
+under (guarded) pairwise union is a semi-naive fixpoint over Python ints;
+the (guarded) pairwise union of two group sets is one vectorised numpy
+broadcast over uint64.
 
 A guard mask restricts which pairs combine: two *distinct* groups join only
 when their intersection avoids the guard. Guard 0 gives the unguarded
@@ -14,138 +12,32 @@ operations.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
-ENV_VAR = "SHARELIN_KERNELS"
-
-try:
-    from numba import njit, types
-    from numba.typed import Dict
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-
-
-def _pick_backend() -> str:
-    choice = os.environ.get(ENV_VAR, "").strip().lower()
-    if choice not in ("", "numba", "numpy"):
-        raise ValueError(f"{ENV_VAR} must be 'numba' or 'numpy', not {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if _HAVE_NUMBA:
-        return "numba"
-    if choice == "numba":
-        raise RuntimeError(f"{ENV_VAR}=numba requested but numba is not importable")
-    return "numpy"  # pragma: no cover
-
-
-BACKEND = _pick_backend()
-
-
-def _closure_numpy(base: np.ndarray, guard: np.uint64) -> np.ndarray:
-    # Closing against base elements only is complete: any guarded union of
-    # derived elements decomposes into guarded single-element steps.
-    cur = base
-    while True:
-        meets = cur[:, None] & base[None, :]
-        ok = (meets & guard) == 0
-        unions = (cur[:, None] | base[None, :])[ok]
-        grown = np.union1d(cur, unions)
-        if grown.size == cur.size:
-            return grown
-        cur = grown
-
-
-def _pairwise_numpy(a: np.ndarray, b: np.ndarray, guard: np.uint64) -> np.ndarray:
-    meets = a[:, None] & b[None, :]
-    ok = ((meets & guard) == 0) | (a[:, None] == b[None, :])
-    return np.unique((a[:, None] | b[None, :])[ok])
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _closure_numba(base, guard):  # pragma: no cover - compiled
-        seen = Dict.empty(key_type=types.uint64, value_type=types.boolean)
-        out = np.empty(max(base.shape[0], 1), dtype=np.uint64)
-        n = 0
-        for i in range(base.shape[0]):
-            m = base[i]
-            if m not in seen:
-                seen[m] = True
-                out[n] = m
-                n += 1
-        head = 0
-        while head < n:
-            cur = out[head]
-            head += 1
-            for i in range(base.shape[0]):
-                g = base[i]
-                if cur & g & guard == types.uint64(0):
-                    u = cur | g
-                    if u not in seen:
-                        seen[u] = True
-                        if n == out.shape[0]:
-                            grown = np.empty(2 * n, dtype=np.uint64)
-                            grown[:n] = out
-                            out = grown
-                        out[n] = u
-                        n += 1
-        res = out[:n].copy()
-        res.sort()
-        return res
-
-    @njit(cache=True)
-    def _pairwise_numba(a, b, guard):  # pragma: no cover - compiled
-        out = np.empty(a.shape[0] * b.shape[0], dtype=np.uint64)
-        n = 0
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
-                if a[i] == b[j] or a[i] & b[j] & guard == types.uint64(0):
-                    out[n] = a[i] | b[j]
-                    n += 1
-        res = out[:n]
-        res.sort()
-        m = 0
-        for k in range(res.shape[0]):
-            if k == 0 or res[k] != res[k - 1]:
-                res[m] = res[k]
-                m += 1
-        return res[:m].copy()
-
-else:
-    _closure_numba = None
-    _pairwise_numba = None
-
-
-def implementations() -> dict:
-    """Backend name -> (closure, pairwise) over uint64 arrays; for benchmarks."""
-    impls = {"numpy": (_closure_numpy, _pairwise_numpy)}
-    if _HAVE_NUMBA:
-        impls["numba"] = (_closure_numba, _pairwise_numba)
-    return impls
-
-
-_CLOSURE, _PAIRWISE = implementations()[BACKEND]
-
-
-def _as_array(masks: Sequence[int]) -> np.ndarray:
-    return np.array(sorted(set(masks)), dtype=np.uint64)
+BACKEND = "int-closure/numpy-pairwise"
 
 
 def closure_masks(masks: Sequence[int], guard: int = 0) -> tuple[int, ...]:
     """Close a group set under pairwise union; pairs meeting ``guard`` stay apart."""
-    if len(masks) <= 1:
-        return tuple(sorted(set(masks)))
-    return tuple(_CLOSURE(_as_array(masks), np.uint64(guard)).tolist())
+    # Joining against base groups only is complete: any guarded union of
+    # derived groups decomposes into guarded single-group steps. Only the
+    # groups found in the last round can yield new ones.
+    base = tuple(set(masks))
+    seen = set(base)
+    frontier = base
+    while frontier:
+        frontier = {c | g for c in frontier for g in base if not c & g & guard} - seen
+        seen |= frontier
+    return tuple(sorted(seen))
 
 
 def pairwise_masks(a: Sequence[int], b: Sequence[int], guard: int = 0) -> tuple[int, ...]:
     """All unions of one group from each side; distinct pairs obey ``guard``."""
     if not a or not b:
         return ()
-    return tuple(_PAIRWISE(_as_array(a), _as_array(b), np.uint64(guard)).tolist())
+    left = np.array(list(set(a)), dtype=np.uint64)[:, None]
+    right = np.array(list(set(b)), dtype=np.uint64)[None, :]
+    ok = ((left & right & np.uint64(guard)) == 0) | (left == right)
+    return tuple(np.unique((left | right)[ok]).tolist())

@@ -184,15 +184,21 @@ def _amgu_raw(
     return new_groups, new_free, new_linear
 
 
+def _amgu(
+    triple: SharingTriple, s: Term, t: Term, variant: int, trade: bool
+) -> SharingTriple:
+    g, f, l = _amgu_raw(
+        triple.universe, triple.groups, triple.free, triple.linear, s, t, variant, trade
+    )
+    return SharingTriple.make(triple.universe, g, f, l)
+
+
 def amgu1(
     triple: SharingTriple, s: Term, t: Term, trade_efficiency: bool = False
 ) -> SharingTriple:
     """Solve ``s = t`` abstractly, exploiting linearity on either side without
     any independence requirement; a free side needs no closure at all."""
-    g, f, l = _amgu_raw(
-        triple.universe, triple.groups, triple.free, triple.linear, s, t, 1, trade_efficiency
-    )
-    return SharingTriple.make(triple.universe, g, f, l)
+    return _amgu(triple, s, t, 1, trade_efficiency)
 
 
 def amgu2(
@@ -201,10 +207,7 @@ def amgu2(
     """Like :func:`amgu1`, but closure and pairwise union refuse to merge
     distinct groups sharing a free variable; freeness is wholly absorbed
     into the guarded operations."""
-    g, f, l = _amgu_raw(
-        triple.universe, triple.groups, triple.free, triple.linear, s, t, 2, trade_efficiency
-    )
-    return SharingTriple.make(triple.universe, g, f, l)
+    return _amgu(triple, s, t, 2, trade_efficiency)
 
 
 def amgu3(
@@ -212,10 +215,7 @@ def amgu3(
 ) -> SharingTriple:
     """Like :func:`amgu2`, plus per-group groundness trimming when a free
     variable meets a compound term."""
-    g, f, l = _amgu_raw(
-        triple.universe, triple.groups, triple.free, triple.linear, s, t, 3, trade_efficiency
-    )
-    return SharingTriple.make(triple.universe, g, f, l)
+    return _amgu(triple, s, t, 3, trade_efficiency)
 
 
 def decomposed_reference(

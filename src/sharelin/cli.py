@@ -1,8 +1,10 @@
 """Command-line front end: ``analyze``, ``compare`` and ``oracle``.
 
 Stdout is canonical and byte-stable for identical invocations; timings go
-to stderr. Exit codes: 0 ok, 1 parse error, 2 semantic error, 3 property
-counterexample found.
+to stderr. Exit codes: 0 ok, 1 parse error or unreadable file, 2 semantic
+error, input beyond a supported bound, or usage error, 3 property
+counterexample found. An error is one line on stderr; a usage error
+prints the subcommand's usage before it.
 """
 
 from __future__ import annotations
@@ -12,12 +14,20 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from .amgu import AlgorithmId, AmguConfig, AnalysisProblem, analyze, early_prune
+from .amgu import (
+    AlgorithmId,
+    AmguConfig,
+    AnalysisProblem,
+    analyze,
+    early_prune,
+    fold_equations,
+)
 from .fuzz import FuzzLimits, replay, run_trials
+from .groundness import UniverseTooLargeError
 from .problem_io import (
     ParseError,
     SemanticError,
-    _canonical_groups,
+    canonical_groups,
     format_group,
     format_triple,
     parse_problem,
@@ -68,6 +78,18 @@ def _load(path: str) -> AnalysisProblem:
         return parse_problem(handle.read())
 
 
+def _prune(problem: AnalysisProblem, config: AmguConfig) -> SharingTriple | None:
+    """The early-pruned initial state, or ``None`` when pruning is off."""
+    if not config.early_prune:
+        return None
+    try:
+        return early_prune(problem.formula, problem.equations, problem.initial)
+    except UniverseTooLargeError as exc:
+        raise UniverseTooLargeError(
+            f"{exc}; pass --no-early-prune to analyze without groundness pruning"
+        ) from None
+
+
 def _print_pruned(report: RunReport, out) -> None:
     if report.pruned is not None:
         for line in format_triple(report.pruned):
@@ -80,11 +102,7 @@ def cmd_analyze(args: argparse.Namespace, out=None, err=None) -> int:
     problem = _load(args.file)
     config = _config_from_args(args)
     start = time.perf_counter()
-    pruned = (
-        early_prune(problem.formula, problem.equations, problem.initial)
-        if config.early_prune
-        else None
-    )
+    pruned = _prune(problem, config)
     result = analyze(problem, config)
     report = RunReport(
         ((_ALGO_LABELS[config.algorithm], result, ""),),
@@ -116,6 +134,8 @@ def cmd_compare(args: argparse.Namespace, out=None, err=None) -> int:
     problem = _load(args.file)
     base = _config_from_args(args)
     start = time.perf_counter()
+    pruned = _prune(problem, base)
+    initial = problem.initial if pruned is None else pruned
     rows = []
     for algo in (
         AlgorithmId.AMGU1,
@@ -126,14 +146,9 @@ def cmd_compare(args: argparse.Namespace, out=None, err=None) -> int:
         config = replace(base, algorithm=algo)
         label = _ALGO_LABELS[algo]
         try:
-            rows.append((label, analyze(problem, config), ""))
+            rows.append((label, fold_equations(initial, problem.equations, config), ""))
         except DecompositionLimitError as exc:
             rows.append((label, None, f"skipped: {exc}"))
-    pruned = (
-        early_prune(problem.formula, problem.equations, problem.initial)
-        if base.early_prune
-        else None
-    )
     report = RunReport(tuple(rows), pruned, time.perf_counter() - start)
 
     _print_pruned(report, out)
@@ -142,7 +157,7 @@ def cmd_compare(args: argparse.Namespace, out=None, err=None) -> int:
         if triple is None:
             print(f"{label:<6} {note}", file=out)
             continue
-        shown = " ".join(format_group(universe, g) for g in _canonical_groups(triple))
+        shown = " ".join(format_group(universe, g) for g in canonical_groups(triple))
         free = " ".join(universe.names_of_mask(triple.free)) or "-"
         lin = " ".join(universe.names_of_mask(triple.linear)) or "-"
         print(
@@ -188,13 +203,23 @@ def cmd_oracle(args: argparse.Namespace, out=None, err=None) -> int:
     return EXIT_COUNTEREXAMPLE if violations else EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return value
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-early-prune", action="store_true",
                         help="skip groundness pruning before unification")
     parser.add_argument("--trade-efficiency", action="store_true",
                         help="one closure instead of an intersection of two")
     parser.add_argument("--order", choices=("given", "ground-first"), default="given")
-    parser.add_argument("--file-bound", type=int, default=16, metavar="N",
+    parser.add_argument("--file-bound", type=_positive_int, default=16, metavar="N",
                         help="group-count bound for the decomposed reference")
 
 
@@ -244,6 +269,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (UniverseTooLargeError, DecompositionLimitError) as exc:
+        print(f"limit exceeded: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

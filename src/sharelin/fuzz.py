@@ -33,13 +33,7 @@ from .concrete import (
     sharing_abstraction,
     unify,
 )
-from .problem_io import (
-    _LineScanner,
-    _parse_term,
-    format_term,
-    parse_problem,
-    print_problem,
-)
+from .problem_io import format_term, parse_equation, parse_problem, print_problem
 from .sharing import (
     SharingTriple,
     abstract_multiplicity,
@@ -380,12 +374,7 @@ def replay(text: str, limits: FuzzLimits = FuzzLimits()) -> list:
         stripped = raw.strip()
         if not stripped.startswith("# e0"):
             continue
-        scanner = _LineScanner(stripped[len("# e0"):], lineno)
-        lhs = _parse_term(scanner, problem.universe)
-        scanner.expect("=")
-        rhs = _parse_term(scanner, problem.universe)
-        scanner.expect_end()
-        base.append(Equation(lhs, rhs))
+        base.append(parse_equation(stripped[len("# e0"):], problem.universe, lineno))
     instance = Instance(problem.universe, tuple(base), problem.equations)
     if not unify(instance.base).success:
         return [

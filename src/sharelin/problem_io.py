@@ -23,8 +23,10 @@ import re
 from .amgu import AnalysisProblem
 from .groundness import (
     FormulaSyntaxError,
+    NotPositiveError,
     PosFormula,
     UnknownFormulaVariable,
+    UniverseTooLargeError,
     format_formula,
     parse_formula,
 )
@@ -122,6 +124,17 @@ def _parse_term(scanner: _LineScanner, universe: VariableUniverse) -> Term:
     return Variable(name)
 
 
+def parse_equation(text: str, universe: VariableUniverse, line: int) -> Equation:
+    """Parse ``lhs = rhs`` over the universe; errors report ``line`` and the
+    column within ``text``."""
+    scanner = _LineScanner(text, line)
+    lhs = _parse_term(scanner, universe)
+    scanner.expect("=")
+    rhs = _parse_term(scanner, universe)
+    scanner.expect_end()
+    return Equation(lhs, rhs)
+
+
 def _parse_group(scanner: _LineScanner, universe: VariableUniverse) -> int:
     scanner.expect("{")
     mask = 0
@@ -207,6 +220,7 @@ def parse_problem(text: str) -> AnalysisProblem:
         elif keyword == "lin":
             linear_mask = _parse_name_list(scanner, universe)
         elif keyword == "pos":
+            scanner.skip_ws()
             fragment = body[scanner.pos:]
             offset = scanner.pos
             try:
@@ -215,14 +229,17 @@ def parse_problem(text: str) -> AnalysisProblem:
                 raise SemanticError(str(exc), lineno, offset + exc.col) from None
             except FormulaSyntaxError as exc:
                 raise ParseError(str(exc), lineno, offset + exc.col) from None
+            except NotPositiveError as exc:
+                message = f"formula is not positive: {exc}"
+                raise SemanticError(message, lineno, scanner.col) from None
+            except UniverseTooLargeError as exc:
+                raise SemanticError(str(exc), lineno, scanner.col) from None
             if formula.is_truth():
                 formula = None  # canonical: no information, no formula
         else:  # eq
-            lhs = _parse_term(scanner, universe)
-            scanner.expect("=")
-            rhs = _parse_term(scanner, universe)
-            scanner.expect_end()
-            equations.append(Equation(lhs, rhs))
+            # blank out the keyword, so that columns still count from the line start
+            padded = " " * scanner.pos + body[scanner.pos:]
+            equations.append(parse_equation(padded, universe, lineno))
 
     if universe is None:
         raise ParseError("empty problem: no 'vars' line", 1, 1)
@@ -242,7 +259,8 @@ def format_group(universe: VariableUniverse, mask: int) -> str:
     return "{" + ",".join(universe.names_of_mask(mask)) + "}"
 
 
-def _canonical_groups(triple: SharingTriple) -> list[int]:
+def canonical_groups(triple: SharingTriple) -> list[int]:
+    """The groups in printing order: by size, then by variable positions."""
     universe = triple.universe
     return sorted(
         triple.groups,
@@ -255,7 +273,7 @@ def format_triple(triple: SharingTriple) -> list[str]:
     universe = triple.universe
     lines = ["vars " + " ".join(universe.names)]
     lines.append(
-        "sharing " + " ".join(format_group(universe, g) for g in _canonical_groups(triple))
+        "sharing " + " ".join(format_group(universe, g) for g in canonical_groups(triple))
     )
     if triple.free:
         lines.append("free " + " ".join(universe.names_of_mask(triple.free)))

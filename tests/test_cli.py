@@ -2,6 +2,7 @@
 
 import pytest
 
+import sharelin.amgu as amgu
 import sharelin.cli as cli
 from sharelin.fuzz import FuzzReport, Violation
 
@@ -34,9 +35,25 @@ def problem_file(tmp_path):
 
 
 def run(argv, capsys):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def message_lines(err):
+    """Stderr without argparse's usage block (a ``usage:`` line and its
+    indented continuations)."""
+    lines = err.splitlines()
+    while lines and (lines[0].startswith("usage:") or lines[0].startswith(" ")):
+        lines.pop(0)
+    return lines
+
+
+def wide_vars(n):
+    return "vars " + " ".join(f"v{i}" for i in range(n)) + "\n"
 
 
 def test_analyze_collapses_to_empty_group_line(problem_file, capsys):
@@ -82,6 +99,65 @@ def test_semantic_error_exit_code(problem_file, capsys):
     code, _, err = run(["analyze", problem_file("vars x\nsharing {x}\neq x = q\n")], capsys)
     assert code == 2
     assert "undeclared variable 'q'" in err
+
+
+WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, expected",
+    [
+        ("analyze", "vars x y\nsharing {x}\npos ~x\neq x = y\n", [],
+         "semantic error: line 3, column 5: formula is not positive"),
+        ("analyze", wide_vars(22) + "sharing {v0,v1}\npos v0 -> v1\neq v0 = v1\n", [],
+         "semantic error: line 3, column 5: building a groundness formula over 22"),
+        ("analyze", WIDE24, [], "pass --no-early-prune"),
+        ("compare", WIDE24, [], "pass --no-early-prune"),
+        ("analyze",
+         wide_vars(18) + "sharing " + " ".join("{v%d}" % i for i in range(18)) + "\n"
+         "eq v0 = v1\n", ["--algo", "file"],
+         "limit exceeded: 19 sharing groups exceed the decomposition bound 16"),
+        ("analyze", "vars x\nsharing {x}\n", ["--file-bound", "0"],
+         "argument --file-bound: expected a positive integer, not '0'"),
+    ],
+    ids=["pos-not-positive", "pos-over-bound", "prune-over-bound",
+         "compare-prune-over-bound", "file-over-bound", "file-bound-zero"],
+)
+def test_parseable_input_never_tracebacks(problem_file, capsys, command, text, flags, expected):
+    code, out, err = run([command, problem_file(text)] + flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = message_lines(err)
+    assert len(lines) == 1
+    assert expected in lines[0]
+
+
+def test_over_bound_universe_analyzes_without_pruning(problem_file, capsys):
+    code, out, _ = run(["analyze", problem_file(WIDE24), "--no-early-prune"], capsys)
+    assert code == 0
+    assert "# groups: 2" in out
+
+
+def test_compare_prunes_once(problem_file, capsys, monkeypatch):
+    early_prune = amgu.early_prune
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return early_prune(*args)
+
+    # count the calls made through either module's name, including those
+    # inside amgu.analyze
+    monkeypatch.setattr(cli, "early_prune", counting)
+    monkeypatch.setattr(amgu, "early_prune", counting)
+    path = problem_file(PRUNING)
+    code, out, _ = run(["compare", path], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert "# pruned sharing {}" in out
+    run(["compare", path, "--no-early-prune"], capsys)
+    assert len(calls) == 1
 
 
 def test_missing_file(problem_file, capsys):

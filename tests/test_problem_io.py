@@ -11,6 +11,7 @@ from sharelin.problem_io import (
     ParseError,
     SemanticError,
     format_term,
+    parse_equation,
     parse_problem,
     print_problem,
 )
@@ -109,8 +110,9 @@ class TestSemanticErrors:
             parse_problem("vars x\nsharing {x}\nfree q\n")
 
     def test_undeclared_in_equation(self):
-        with pytest.raises(SemanticError, match="undeclared variable 'q'"):
+        with pytest.raises(SemanticError, match="undeclared variable 'q'") as exc:
             parse_problem("vars x\nsharing {x}\neq x = q\n")
+        assert (exc.value.line, exc.value.col) == (3, 8)  # counted from the line start
 
     def test_undeclared_in_formula(self):
         with pytest.raises(SemanticError, match="undeclared"):
@@ -123,6 +125,15 @@ class TestSemanticErrors:
     def test_duplicate_declaration(self):
         with pytest.raises(SemanticError, match="declared twice"):
             parse_problem("vars x x\nsharing {x}\n")
+
+
+def test_parse_equation():
+    universe = parse_problem("vars x y\nsharing {x}\n").universe
+    eq = parse_equation(" x = f(y, a())", universe, 7)
+    assert eq == Equation(Variable("x"), Compound("f", (Variable("y"), Compound("a"))))
+    with pytest.raises(ParseError) as exc:
+        parse_equation("x = f(y", universe, 7)
+    assert (exc.value.line, exc.value.col) == (7, 8)
 
 
 def test_constants_need_parentheses():
