@@ -3,10 +3,11 @@ reference, the lifting to equation lists, and early groundness pruning."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .groundness import PosFormula, truth
+from .groundness import PosFormula
 from .sharing import (
     SharingTriple,
     abstract_multiplicity,
@@ -278,24 +279,49 @@ def early_prune(
     share with anything; groups whose complement stops being a model are
     impossible and are dropped, free variables touching the ground set are
     demoted, and ground variables become linear.
+
+    Each equation is ``(/\\ lhs) <-> (/\\ rhs)``, a conjunction of definite
+    clauses whose models are closed under intersection. Without a formula
+    the ground set is therefore their least model, found by forward
+    chaining, and a group survives iff it misses that set. With a formula,
+    its models are filtered in one pass, and a surviving group's complement
+    must also be a model of the formula.
     """
     universe = triple.universe
-    if formula is None:
-        formula = truth(universe)
+    full = universe.full_mask
     eq_masks = [
         (universe.term_mask(e.lhs), universe.term_mask(e.rhs)) for e in equations
     ]
-    strengthened = [
-        m
-        for m in formula.models
-        if all(((m & lv) == lv) == ((m & rv) == rv) for lv, rv in eq_masks)
-    ]
-    ground = universe.full_mask
-    for m in strengthened:
-        ground &= m
-    keep_models = {m for m in formula.models if m & ground == ground}
-    full = universe.full_mask
-    new_groups = [g for g in triple.groups if full & ~g in keep_models]
+    if formula is None:
+        ground = 0
+        changed = True
+        while changed:
+            changed = False
+            for lv, rv in eq_masks:
+                if lv & ~ground == 0 and rv & ~ground:
+                    ground |= rv
+                    changed = True
+                if rv & ~ground == 0 and lv & ~ground:
+                    ground |= lv
+                    changed = True
+        new_groups = [g for g in triple.groups if not g & ground]
+    else:
+        models = formula.models
+        ground = full
+        for m in models:
+            for lv, rv in eq_masks:
+                if ((m & lv) == lv) != ((m & rv) == rv):
+                    break
+            else:
+                ground &= m
+        new_groups = []
+        for g in triple.groups:
+            if g & ground:
+                continue
+            complement = full & ~g
+            i = bisect_left(models, complement)
+            if i < len(models) and models[i] == complement:
+                new_groups.append(g)
     touched = group_vars(g for g in triple.groups if g & ground)
     return SharingTriple.make(
         universe, new_groups, triple.free & ~touched, triple.linear | ground

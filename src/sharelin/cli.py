@@ -82,12 +82,7 @@ def _prune(problem: AnalysisProblem, config: AmguConfig) -> SharingTriple | None
     """The early-pruned initial state, or ``None`` when pruning is off."""
     if not config.early_prune:
         return None
-    try:
-        return early_prune(problem.formula, problem.equations, problem.initial)
-    except UniverseTooLargeError as exc:
-        raise UniverseTooLargeError(
-            f"{exc}; pass --no-early-prune to analyze without groundness pruning"
-        ) from None
+    return early_prune(problem.formula, problem.equations, problem.initial)
 
 
 def _print_pruned(report: RunReport, out) -> None:

@@ -4,7 +4,10 @@ A formula is stored as its explicit model set: every model is the bitmask
 of variables assigned true. Positivity is exactly the condition that the
 all-true assignment is a model. The explicit form keeps conjunction,
 entailment and group trimming exact and easy to test; it is deliberately
-bounded to small universes, which is where this analysis operates.
+bounded to small universes. The bound binds only where a formula is
+built: a ``pos`` line and the constructors here. Early pruning without a
+formula forward-chains the equations instead (see ``amgu.early_prune``)
+and reaches 64 variables.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import numpy as np
 
 from .terms import Equation, VariableUniverse, term_vars
 
-# Materialising a formula enumerates 2**n assignments (8 MiB of masks at the
-# bound); universes past this need a symbolic backend, which is out of scope.
+# Materialising a formula enumerates 2**n assignments (1 MiB per bool column
+# at the bound). This caps a ``pos`` line and the model-set constructors
+# below; early pruning without a formula needs no model set.
 MAX_FORMULA_VARS = 20
 
 
@@ -64,14 +68,26 @@ class PosFormula:
         return len(self.models) == 1 << len(self.universe)
 
 
-def _assignment_masks(universe: VariableUniverse) -> np.ndarray:
+def _bounded_size(universe: VariableUniverse) -> int:
     n = len(universe)
     if n > MAX_FORMULA_VARS:
         raise UniverseTooLargeError(
             f"building a groundness formula over {n} variables needs 2**{n} models; "
             f"the supported bound is {MAX_FORMULA_VARS}"
         )
-    return np.arange(1 << n, dtype=np.uint64)
+    return n
+
+
+def _assignment_masks(universe: VariableUniverse) -> np.ndarray:
+    return np.arange(1 << _bounded_size(universe), dtype=np.uint64)
+
+
+def _column(n: int, i: int) -> np.ndarray:
+    """Truth value of variable ``i`` in each of the ``2**n`` assignments,
+    indexed by assignment mask: bit ``i`` of the index is the middle axis."""
+    column = np.zeros((1 << (n - i - 1), 2, 1 << i), dtype=bool)
+    column[:, 1, :] = True
+    return column.reshape(-1)
 
 
 def truth(universe: VariableUniverse) -> PosFormula:
@@ -159,12 +175,11 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _FormulaParser:
-    def __init__(self, tokens: list[tuple[str, int]], universe: VariableUniverse,
-                 var_values: dict):
+    def __init__(self, tokens: list[tuple[str, int]], universe: VariableUniverse):
         self.tokens = tokens
         self.pos = 0
-        self.universe = universe
-        self.var_values = var_values
+        self.n = len(universe)
+        self.bits = {v.name: i for i, v in enumerate(universe.variables)}
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -233,24 +248,26 @@ class _FormulaParser:
         if name in ("&", "|", "->", "<->", ")"):
             raise FormulaSyntaxError(f"unexpected {name!r}", col)
         if name == "true":
-            return np.ones(1 << len(self.universe), dtype=bool)
-        if name not in self.var_values:
+            return np.ones(1 << self.n, dtype=bool)
+        if name not in self.bits:
             raise UnknownFormulaVariable(name, col)
-        return self.var_values[name]
+        return _column(self.n, self.bits[name])
 
 
 def parse_formula(text: str, universe: VariableUniverse) -> PosFormula:
-    """Parse the surface syntax into a formula; reject non-positive results."""
-    masks = _assignment_masks(universe)
-    var_values = {
-        v.name: (masks >> np.uint64(i)) & np.uint64(1) != 0
-        for i, v in enumerate(universe.variables)
-    }
+    """Parse the surface syntax into a formula; reject non-positive results.
+
+    The value is a bool vector indexed by assignment mask, so the indices of
+    its true entries are the models, already sorted and inside the universe.
+    """
+    _bounded_size(universe)
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 1)
-    value = _FormulaParser(tokens, universe, var_values).parse()
-    return PosFormula.of_models(universe, masks[value].tolist())
+    value = _FormulaParser(tokens, universe).parse()
+    if not value[-1]:
+        raise NotPositiveError("the all-true assignment is not a model")
+    return PosFormula(universe, tuple(np.flatnonzero(value).tolist()))
 
 
 def format_formula(f: PosFormula) -> str:

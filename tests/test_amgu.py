@@ -8,6 +8,8 @@ definitions by hand (cross-checked against the concrete oracle).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharelin.amgu import (
     AlgorithmId,
@@ -21,11 +23,27 @@ from sharelin.amgu import (
     early_prune,
     fold_equations,
 )
-from sharelin.concrete import describes
-from sharelin.groundness import biconditional, parse_formula, trim
+from sharelin.concrete import (
+    binding_multiplicity,
+    describes,
+    is_free,
+    sharing_abstraction,
+    unify,
+)
+from sharelin.fuzz import random_equation
+from sharelin.groundness import (
+    PosFormula,
+    biconditional,
+    conjoin,
+    conjunction_of,
+    parse_formula,
+    trim,
+    truth,
+)
 from sharelin.sharing import (
     DecompositionLimitError,
     SharingTriple,
+    group_vars,
     pairwise_union,
     relevant,
     union_closure,
@@ -236,6 +254,128 @@ class TestEarlyPrune:
         assert pruned.groups == (0,)
         assert pruned.free == 0
         assert pruned.linear == XYZ.full_mask
+
+
+def model_set_early_prune(formula, equations, triple):
+    """The early pruning that forward chaining and the one-pass model filter
+    replaced: strengthen an explicit model set by every equation, intersect
+    the surviving models, and keep the groups whose complement is a model
+    containing that ground set."""
+    universe = triple.universe
+    if formula is None:
+        formula = truth(universe)
+    eq_masks = [
+        (universe.term_mask(e.lhs), universe.term_mask(e.rhs)) for e in equations
+    ]
+    strengthened = [
+        m
+        for m in formula.models
+        if all(((m & lv) == lv) == ((m & rv) == rv) for lv, rv in eq_masks)
+    ]
+    ground = universe.full_mask
+    for m in strengthened:
+        ground &= m
+    keep_models = {m for m in formula.models if m & ground == ground}
+    full = universe.full_mask
+    new_groups = [g for g in triple.groups if full & ~g in keep_models]
+    touched = group_vars(g for g in triple.groups if g & ground)
+    return SharingTriple.make(
+        universe, new_groups, triple.free & ~touched, triple.linear | ground
+    )
+
+
+@st.composite
+def prune_problems(draw, max_vars=12):
+    n = draw(st.integers(min_value=1, max_value=max_vars))
+    universe = VariableUniverse.of_names(f"v{i}" for i in range(n))
+    full = universe.full_mask
+    masks = st.integers(min_value=0, max_value=full)
+    # a side is a variable or a term over a few variables, a constant included
+    sides = st.one_of(
+        st.sampled_from(universe.variables),
+        st.lists(st.sampled_from(universe.variables), max_size=3).map(
+            lambda args: Compound("f", tuple(args))
+        ),
+    )
+    equations = tuple(
+        Equation(lhs, rhs) for lhs, rhs in draw(st.lists(st.tuples(sides, sides), max_size=5))
+    )
+    state = SharingTriple.make(
+        universe, draw(st.lists(masks, max_size=10)), draw(masks), draw(masks)
+    )
+    return universe, equations, state
+
+
+@st.composite
+def pos_formulas(draw, universe):
+    """A positive formula: an arbitrary model set with the all-true
+    assignment, or a conjunction of variables and biconditionals."""
+    full = universe.full_mask
+    masks = st.integers(min_value=0, max_value=full)
+    if draw(st.booleans()):
+        return PosFormula.of_models(universe, draw(st.lists(masks, max_size=20)) + [full])
+    formula = conjunction_of(universe, draw(masks) if draw(st.booleans()) else 0)
+    for left, right in draw(st.lists(st.tuples(masks, masks), max_size=3)):
+        formula = conjoin(formula, biconditional(universe, left, right))
+    return formula
+
+
+@settings(max_examples=150, deadline=None)
+@given(prune_problems())
+def test_forward_chaining_matches_truth_model_set(problem):
+    universe, equations, state = problem
+    assert early_prune(None, equations, state) == early_prune(
+        truth(universe), equations, state
+    )
+    assert early_prune(None, equations, state) == model_set_early_prune(
+        None, equations, state
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pos_model_filter_matches_model_set_pruning(data):
+    universe, equations, state = data.draw(prune_problems())
+    formula = data.draw(pos_formulas(universe))
+    assert early_prune(formula, equations, state) == model_set_early_prune(
+        formula, equations, state
+    )
+
+
+def exact_state(universe, base):
+    rsf = unify(base).solved_form
+    return SharingTriple.make(
+        universe,
+        sharing_abstraction(rsf, universe),
+        universe.mask_of(v for v in universe if is_free(rsf, v)),
+        universe.mask_of(v for v in universe if binding_multiplicity(rsf, v) <= 1),
+    )
+
+
+@pytest.mark.parametrize("n", [24, 32, 64])
+def test_pruning_past_formula_bound_is_sound(n):
+    # satisfiable systems over universes no model set can cover; the pending
+    # equations ground a variable through a constant, and share few enough
+    # variables that grounding chains through them, so pruning drops groups
+    rng = random.Random(n)
+    universe = VariableUniverse.of_names(f"v{i}" for i in range(n))
+    checked = dropped = 0
+    while checked < 30:
+        pool = tuple(rng.sample(universe.variables, 4))
+        base = tuple(random_equation(rng, pool, 2) for _ in range(rng.randint(0, 4)))
+        equations = (Equation(rng.choice(pool), Compound("a")),) + tuple(
+            random_equation(rng, pool, 2) for _ in range(rng.randint(1, 3))
+        )
+        if not unify(base + equations).success:
+            continue
+        state = exact_state(universe, base)
+        pruned = early_prune(None, equations, state)
+        problem = AnalysisProblem(universe, state, None, equations)
+        for algo in (AlgorithmId.AMGU1, AlgorithmId.AMGU2, AlgorithmId.AMGU3):
+            assert describes(analyze(problem, AmguConfig(algorithm=algo)), base + equations)
+        checked += 1
+        dropped += len(state.groups) - len(pruned.groups)
+    assert dropped > 0
 
 
 class TestPipeline:

@@ -111,8 +111,6 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
          "semantic error: line 3, column 5: formula is not positive"),
         ("analyze", wide_vars(22) + "sharing {v0,v1}\npos v0 -> v1\neq v0 = v1\n", [],
          "semantic error: line 3, column 5: building a groundness formula over 22"),
-        ("analyze", WIDE24, [], "pass --no-early-prune"),
-        ("compare", WIDE24, [], "pass --no-early-prune"),
         ("analyze",
          wide_vars(18) + "sharing " + " ".join("{v%d}" % i for i in range(18)) + "\n"
          "eq v0 = v1\n", ["--algo", "file"],
@@ -120,8 +118,7 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
         ("analyze", "vars x\nsharing {x}\n", ["--file-bound", "0"],
          "argument --file-bound: expected a positive integer, not '0'"),
     ],
-    ids=["pos-not-positive", "pos-over-bound", "prune-over-bound",
-         "compare-prune-over-bound", "file-over-bound", "file-bound-zero"],
+    ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero"],
 )
 def test_parseable_input_never_tracebacks(problem_file, capsys, command, text, flags, expected):
     code, out, err = run([command, problem_file(text)] + flags, capsys)
@@ -137,6 +134,23 @@ def test_over_bound_universe_analyzes_without_pruning(problem_file, capsys):
     code, out, _ = run(["analyze", problem_file(WIDE24), "--no-early-prune"], capsys)
     assert code == 0
     assert "# groups: 2" in out
+
+
+def wide_grounding(n):
+    # v2 is bound to a constant and v0 to a term over v2, so both are ground
+    return wide_vars(n) + "sharing {v0,v1} {v2} {v3}\neq v2 = a()\neq v0 = f(v2)\n"
+
+
+@pytest.mark.parametrize("n", [24, 64])
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_pruning_past_formula_bound(problem_file, capsys, command, n):
+    # without a pos line, pruning forward-chains the equations and needs no
+    # model set, so it runs past the 20-variable bound up to 64 variables
+    code, out, _ = run([command, problem_file(wide_grounding(n))], capsys)
+    assert code == 0
+    pruned = [l for l in out.splitlines() if l.startswith("# pruned ")]
+    assert "# pruned sharing {} {v3}" in pruned
+    assert "# pruned lin v0 v2" in pruned
 
 
 def test_compare_prunes_once(problem_file, capsys, monkeypatch):

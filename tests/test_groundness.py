@@ -1,7 +1,7 @@
 """Positive Boolean functions: parsing, conjunction, entailment, trimming."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharelin.groundness import (
@@ -124,6 +124,51 @@ def test_entailed_ground_grows_under_conjunction(f, g):
 @given(_formulas(XYZ))
 def test_format_round_trip(f):
     assert parse_formula(format_formula(f), XYZ) == f
+
+
+U8 = VariableUniverse.of_names(f"v{i}" for i in range(8))
+
+# formula trees: a variable name or "true", ("~", t), or (op, t, t)
+_trees = st.recursive(
+    st.sampled_from(U8.names + ("true",)),
+    lambda sub: st.one_of(
+        st.tuples(st.just("~"), sub),
+        st.tuples(st.sampled_from(["&", "|", "->", "<->"]), sub, sub),
+    ),
+    max_leaves=6,
+)
+
+
+def _render(tree):
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "~":
+        return "~" + _render(tree[1])
+    return f"({_render(tree[1])} {tree[0]} {_render(tree[2])})"
+
+
+def _holds(tree, m):
+    if tree == "true":
+        return True
+    if isinstance(tree, str):
+        return bool(m >> U8.names.index(tree) & 1)
+    if tree[0] == "~":
+        return not _holds(tree[1], m)
+    a, b = _holds(tree[1], m), _holds(tree[2], m)
+    return {"&": a and b, "|": a or b, "->": not a or b, "<->": a == b}[tree[0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_parse_models_match_assignment_evaluation(tree):
+    # the bool columns index assignments by mask; evaluating the tree on each
+    # mask must pick the same models, including the high bits
+    models = tuple(m for m in range(1 << len(U8)) if _holds(tree, m))
+    if U8.full_mask not in models:
+        with pytest.raises(NotPositiveError):
+            parse_formula(_render(tree), U8)
+    else:
+        assert parse_formula(_render(tree), U8) == PosFormula(U8, models)
 
 
 def test_builders():
