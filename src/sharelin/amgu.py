@@ -82,12 +82,37 @@ def _combine(
     chi_t: int,
     guard: int,
     trade: bool,
+    s_mask: int,
+    t_mask: int,
 ) -> tuple[int, ...]:
     """The replacement region for the relevant groups, by multiplicity case.
 
     A linear side needs no closure on the opposite side; when both sides are
     linear the two single-closure results are intersected, unless the caller
     trades that precision for one closure on the smaller side.
+
+    When neither side is linear, the region is the guarded pairwise union of
+    the two closures, ``pairwise_union(cl(rel_s), cl(rel_t))``. It is
+    computed as one closure of ``rel_s ∪ rel_t``, keeping the groups that
+    meet both ``s_mask`` and ``t_mask`` (the star-union form of the Sharing
+    amgu, Jacobs and Langen, JLP 1992). This is exact for any guard F.
+    ``cl(A)`` under F is the set of unions of the non-empty subsets of A
+    whose members are pairwise disjoint on F, and ``pairwise_union`` joins
+    ``a`` and ``b`` when ``a == b`` or ``a & b & F == 0``.
+
+    - Every pairwise group is kept. For ``a == b``, ``a`` is in
+      ``cl(rel_s) ⊆ cl(rel_s ∪ rel_t)`` and meets both sides. Otherwise
+      ``a = ∪A'`` and ``b = ∪B'`` with ``a & b & F == 0``, so every member
+      of A' is disjoint on F from every other member of B'. Then A' ∪ B' is
+      pairwise disjoint on F, its union is ``a | b``, and that union meets
+      s through A' and t through B'.
+    - Every kept group is pairwise. Let C ⊆ rel_s ∪ rel_t be pairwise
+      disjoint on F with a union that meets s and t. Every group meeting s
+      is in rel_s, so C ∩ rel_s is not empty. If C ⊄ rel_s, take
+      ``a = ∪(C ∩ rel_s)`` and ``b = ∪(C ∖ rel_s)``, with C ∖ rel_s ⊆ rel_t.
+      Otherwise some c in C meets t, so c is in rel_t: if C = {c}, take
+      ``a = b = c``; else take ``a = ∪(C ∖ {c})`` and ``b = c``. Either way
+      the two parts share no member, so ``a & b & F == 0``.
     """
     if chi_s == 1 and chi_t == 1:
         if trade:
@@ -101,7 +126,9 @@ def _combine(
         return pairwise_union(union_closure(rel_s, guard), rel_t, guard)
     if chi_t == 1:
         return pairwise_union(rel_s, union_closure(rel_t, guard), guard)
-    return pairwise_union(union_closure(rel_s, guard), union_closure(rel_t, guard), guard)
+    return tuple(
+        g for g in union_closure(rel_s + rel_t, guard) if g & s_mask and g & t_mask
+    )
 
 
 def _ground_trimmed_region(
@@ -155,7 +182,7 @@ def _amgu_raw(
         region = _ground_trimmed_region(universe, rel_t, rel_s, t, s_mask, free)
     else:
         guard = 0 if variant == 1 else free
-        region = _combine(rel_s, rel_t, chi_s, chi_t, guard, trade)
+        region = _combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask)
 
     removed = set(rel_s) | set(rel_t)
     new_groups = tuple(sorted({g for g in groups if g not in removed} | set(region)))

@@ -27,8 +27,7 @@ from .groundness import UniverseTooLargeError
 from .problem_io import (
     ParseError,
     SemanticError,
-    canonical_groups,
-    format_group,
+    format_groups,
     format_triple,
     parse_problem,
 )
@@ -152,7 +151,7 @@ def cmd_compare(args: argparse.Namespace, out=None, err=None) -> int:
         if triple is None:
             print(f"{label:<6} {note}", file=out)
             continue
-        shown = " ".join(format_group(universe, g) for g in canonical_groups(triple))
+        shown = " ".join(format_groups(triple))
         free = " ".join(universe.names_of_mask(triple.free)) or "-"
         lin = " ".join(universe.names_of_mask(triple.linear)) or "-"
         print(

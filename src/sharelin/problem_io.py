@@ -31,7 +31,7 @@ from .groundness import (
     parse_formula,
 )
 from .sharing import SharingTriple
-from .terms import Compound, Equation, Term, Variable, VariableUniverse
+from .terms import Compound, Equation, Term, Variable, VariableUniverse, bit_positions
 
 
 class ProblemError(Exception):
@@ -259,22 +259,30 @@ def format_group(universe: VariableUniverse, mask: int) -> str:
     return "{" + ",".join(universe.names_of_mask(mask)) + "}"
 
 
+def _printing_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    return mask.bit_count(), bit_positions(mask)
+
+
 def canonical_groups(triple: SharingTriple) -> list[int]:
     """The groups in printing order: by size, then by variable positions."""
-    universe = triple.universe
-    return sorted(
-        triple.groups,
-        key=lambda g: (g.bit_count(), tuple(i for i in range(len(universe)) if g >> i & 1)),
-    )
+    return sorted(triple.groups, key=_printing_key)
+
+
+def format_groups(triple: SharingTriple) -> list[str]:
+    """The printed groups in canonical order. Each group's set bits are
+    walked once, for both its sort key and its names."""
+    names = triple.universe.names
+    return [
+        "{" + ",".join([names[i] for i in positions]) + "}"
+        for _, positions in sorted(map(_printing_key, triple.groups))
+    ]
 
 
 def format_triple(triple: SharingTriple) -> list[str]:
     """The ``vars``/``sharing``/``free``/``lin`` lines for a state."""
     universe = triple.universe
     lines = ["vars " + " ".join(universe.names)]
-    lines.append(
-        "sharing " + " ".join(format_group(universe, g) for g in canonical_groups(triple))
-    )
+    lines.append("sharing " + " ".join(format_groups(triple)))
     if triple.free:
         lines.append("free " + " ".join(universe.names_of_mask(triple.free)))
     if triple.linear != triple.free:

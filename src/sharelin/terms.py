@@ -76,6 +76,17 @@ def variable_counts(t: Term) -> Counter:
     return counts
 
 
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, lowest first, found by
+    visiting only the set bits."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(positions)
+
+
 def term_multiplicity(t: Term) -> int:
     """0 for ground terms, 1 for linear ones, 2 when some variable repeats."""
     counts = variable_counts(t)
@@ -143,7 +154,9 @@ class VariableUniverse:
         return self.mask_of(term_vars(t))
 
     def vars_of_mask(self, mask: int) -> tuple[Variable, ...]:
-        return tuple(v for i, v in enumerate(self.variables) if mask >> i & 1)
+        variables = self.variables
+        return tuple(variables[i] for i in bit_positions(mask))
 
     def names_of_mask(self, mask: int) -> tuple[str, ...]:
-        return tuple(v.name for v in self.vars_of_mask(mask))
+        variables = self.variables
+        return tuple(variables[i].name for i in bit_positions(mask))

@@ -15,6 +15,7 @@ from sharelin.amgu import (
     AlgorithmId,
     AmguConfig,
     AnalysisProblem,
+    _combine,
     amgu1,
     amgu2,
     amgu3,
@@ -200,6 +201,52 @@ class TestAmgu3:
             removed = set(rel_s) | set(rel_t)
             expected = sorted({g for g in state.groups if g not in removed} | region | {0})
             assert list(via_step.groups) == expected
+
+
+def pairwise_of_closures(rel_s, rel_t, guard):
+    """The region that ``_combine`` built when neither side is linear, before
+    it became one closure of the union."""
+    return pairwise_union(union_closure(rel_s, guard), union_closure(rel_t, guard), guard)
+
+
+@st.composite
+def nonlinear_combine_cases(draw):
+    """Relevance sets of two term masks over universes of up to 8 variables
+    or of 63/64, where masks are sparse but reach bit n-1."""
+    n = draw(st.one_of(st.integers(1, 8), st.sampled_from([63, 64])))
+    bits = list(range(n)) if n <= 8 else [0, 1, 2, 3, 31, 32, n - 2, n - 1]
+
+    def masks(max_bits, min_bits=0):
+        return st.sets(st.sampled_from(bits), min_size=min_bits, max_size=max_bits).map(
+            lambda chosen: sum(1 << b for b in chosen)
+        )
+
+    groups = draw(st.lists(masks(3, 1), max_size=8))
+    s_mask = draw(masks(2, 1))
+    t_mask = draw(st.one_of(st.just(s_mask), masks(2, 1), st.just(0)))
+    guard = draw(st.one_of(st.just(0), st.just(1 << (n - 1)), masks(len(bits))))
+    return relevant(groups, s_mask), relevant(groups, t_mask), s_mask, t_mask, guard
+
+
+@settings(max_examples=400, deadline=None)
+@given(nonlinear_combine_cases(), st.booleans())
+def test_closure_of_union_matches_pairwise_of_closures(case, trade):
+    rel_s, rel_t, s_mask, t_mask, guard = case
+    region = _combine(rel_s, rel_t, 2, 2, guard, trade, s_mask, t_mask)
+    assert region == pairwise_of_closures(rel_s, rel_t, guard)
+
+
+def test_closure_of_union_golden():
+    a, b, c, big = 0b001, 0b010, 0b100, 1 << 63
+    # one side empty: nothing meets that side, so the region is empty
+    assert _combine((), (a | b,), 2, 2, 0, False, c, b) == ()
+    # both sides over the same groups: every union of them
+    rel = (a | big, b | big)
+    assert _combine(rel, rel, 2, 2, 0, False, big, big) == (a | big, b | big, a | b | big)
+    # a guard on the shared bit keeps the two groups apart
+    assert _combine(rel, rel, 2, 2, big, False, big, big) == (a | big, b | big)
+    # a group in both relevance sets survives on its own (the a == b pair)
+    assert _combine((a | c,), (a | c, b), 2, 2, 0, False, a, c | b) == (a | c, a | b | c)
 
 
 class TestDecomposedReference:

@@ -1,5 +1,7 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
+
 import pytest
 
 import sharelin.amgu as amgu
@@ -172,6 +174,39 @@ def test_compare_prunes_once(problem_file, capsys, monkeypatch):
     assert "# pruned sharing {}" in out
     run(["compare", path, "--no-early-prune"], capsys)
     assert len(calls) == 1
+
+
+# Both sides hold x twice and meet the ten hub groups, so neither is linear.
+# The free a1 lies in one group of each hub, so amgu2/3 keep those apart.
+HUB = (
+    "vars x y a1 a2 a3 a4 a5 b1 b2 b3 b4 b5 "
+    + " ".join(f"c{i}" for i in range(1, 21))
+    + "\nsharing {a1,x} {a2,x} {a3,x} {a4,x} {a5,x} {a1,b1,y} {b2,y} {b3,y} {b4,y} {b5,y} "
+    + " ".join(f"{{c{i}}}" for i in range(1, 21, 2))
+    + " {c2,c3} {c6,c7} {c10,c11} {c14,c15} {c18,c19}\n"
+    "free a1 c1\n"
+    "lin c3 c5\n"
+    "eq h(x, x, y) = h(y, x, x)\n"
+)
+
+# stdout digests, recorded when the region was still the pairwise union of
+# the two closures and groups were printed by scanning every position
+HUB_DIGESTS = {
+    ("analyze", "1"): "7336a0293ede66571165f58199fc4d2136659cb2864d7ec4ff52016d0ac19c29",
+    ("analyze", "2"): "676acd41ada1ee33548f7bb54cc6168442b1a03a547f6051f2d597b8cd1f417a",
+    ("analyze", "3"): "676acd41ada1ee33548f7bb54cc6168442b1a03a547f6051f2d597b8cd1f417a",
+    ("compare", None): "ef0802ecb3137476c5d8172a68ab50b42bead49f9213b54acb6ff80f3a0b753c",
+}
+
+
+@pytest.mark.parametrize("command, algo", list(HUB_DIGESTS))
+def test_hub_output_is_byte_identical(problem_file, capsys, command, algo):
+    argv = [command, problem_file(HUB), "--no-early-prune"]
+    if algo is not None:
+        argv += ["--algo", algo]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HUB_DIGESTS[command, algo]
 
 
 def test_missing_file(problem_file, capsys):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharelin.amgu import AnalysisProblem
 from sharelin.fuzz import FuzzLimits, exact_abstraction, generate_instance
@@ -10,13 +12,16 @@ from sharelin.groundness import parse_formula
 from sharelin.problem_io import (
     ParseError,
     SemanticError,
+    canonical_groups,
+    format_group,
+    format_groups,
     format_term,
     parse_equation,
     parse_problem,
     print_problem,
 )
 from sharelin.sharing import SharingTriple
-from sharelin.terms import Compound, Equation, Variable
+from sharelin.terms import Compound, Equation, Variable, VariableUniverse
 
 
 def test_smallest_file():
@@ -190,3 +195,37 @@ def test_output_is_valid_input():
     problem = parse_problem("vars x y\nsharing {x,y}\nfree x y\n")
     again = parse_problem(print_problem(problem))
     assert again == problem
+
+
+# 64 names whose alphabetical order differs from their positions
+WIDE = VariableUniverse.of_names(f"v{i * 37 % 64}" for i in range(64))
+
+
+def scanned_names(universe, mask):
+    """Group names as printing built them before the set-bit walk: a scan
+    over every position of the universe."""
+    return tuple(v.name for i, v in enumerate(universe.variables) if mask >> i & 1)
+
+
+def scanned_key(mask, n):
+    return mask.bit_count(), tuple(i for i in range(n) if mask >> i & 1)
+
+
+wide_groups = st.one_of(
+    st.integers(0, (1 << 64) - 1),
+    st.sets(st.integers(0, 63), max_size=4).map(lambda bits: sum(1 << b for b in bits)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wide_groups, max_size=40), st.integers(0, (1 << 63) - 1))
+def test_set_bit_walk_prints_like_the_position_scan(groups, rest):
+    triple = SharingTriple.make(WIDE, [*groups, 1 << 63 | rest], rest, rest >> 1)
+    order = sorted(triple.groups, key=lambda g: scanned_key(g, 64))
+    assert canonical_groups(triple) == order
+    texts = ["{" + ",".join(scanned_names(WIDE, g)) + "}" for g in order]
+    assert [format_group(WIDE, g) for g in order] == texts
+    assert format_groups(triple) == texts
+    for m in (*triple.groups, triple.free, triple.linear):
+        assert WIDE.names_of_mask(m) == scanned_names(WIDE, m)
+        assert WIDE.vars_of_mask(m) == tuple(Variable(n) for n in scanned_names(WIDE, m))
