@@ -1,9 +1,9 @@
 """Bitmask kernels for the two hot group-set operations.
 
-Sharing groups are bitmasks over at most 64 variables. Closing a group set
-under (guarded) pairwise union is a semi-naive fixpoint over Python ints;
-the (guarded) pairwise union of two group sets is one vectorised numpy
-broadcast over uint64.
+Sharing groups are bitmasks over at most 64 variables, held as Python ints.
+Closing a group set under (guarded) pairwise union is a semi-naive
+fixpoint; the (guarded) pairwise union of two group sets is one set
+comprehension over all pairs.
 
 A guard mask restricts which pairs combine: two *distinct* groups join only
 when their intersection avoids the guard. Guard 0 gives the unguarded
@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-BACKEND = "int-closure/numpy-pairwise"
+BACKEND = "python-int"
 
 
 def closure_masks(masks: Sequence[int], guard: int = 0) -> tuple[int, ...]:
@@ -35,9 +33,5 @@ def closure_masks(masks: Sequence[int], guard: int = 0) -> tuple[int, ...]:
 
 def pairwise_masks(a: Sequence[int], b: Sequence[int], guard: int = 0) -> tuple[int, ...]:
     """All unions of one group from each side; distinct pairs obey ``guard``."""
-    if not a or not b:
-        return ()
-    left = np.array(list(set(a)), dtype=np.uint64)[:, None]
-    right = np.array(list(set(b)), dtype=np.uint64)[None, :]
-    ok = ((left & right & np.uint64(guard)) == 0) | (left == right)
-    return tuple(np.unique((left | right)[ok]).tolist())
+    right = set(b)
+    return tuple(sorted({x | y for x in set(a) for y in right if x == y or not x & y & guard}))

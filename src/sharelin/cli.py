@@ -56,11 +56,6 @@ class RunReport:
     pruned: SharingTriple | None
     elapsed: float
 
-    def group_counts(self) -> tuple:
-        return tuple(
-            (label, len(triple.groups)) for label, triple, _ in self.results if triple
-        )
-
 
 def _config_from_args(args: argparse.Namespace) -> AmguConfig:
     return AmguConfig(
@@ -239,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="randomised soundness checking")
     p_oracle.add_argument("--seed", type=int, default=42)
     p_oracle.add_argument("--trials", type=int, default=200)
-    p_oracle.add_argument("--max-vars", type=int, default=4)
+    p_oracle.add_argument("--max-vars", type=_positive_int, default=4)
     p_oracle.add_argument("--max-depth", type=int, default=3)
-    p_oracle.add_argument("--max-eqs", type=int, default=3)
-    p_oracle.add_argument("--file-bound", type=int, default=8, metavar="N",
+    p_oracle.add_argument("--max-eqs", type=_positive_int, default=3)
+    p_oracle.add_argument("--file-bound", type=_positive_int, default=8, metavar="N",
                           help="group-count bound for reference-algorithm checks")
     p_oracle.add_argument("--replay", metavar="FILE",
                           help="re-check one recorded counterexample file")

@@ -1,26 +1,27 @@
 """Groundness dependencies as positive Boolean functions over a universe.
 
 A formula is stored as its explicit model set: every model is the bitmask
-of variables assigned true. Positivity is exactly the condition that the
-all-true assignment is a model. The explicit form keeps conjunction,
-entailment and group trimming exact and easy to test; it is deliberately
-bounded to small universes. The bound binds only where a formula is
-built: a ``pos`` line and the constructors here. Early pruning without a
-formula forward-chains the equations instead (see ``amgu.early_prune``)
-and reaches 64 variables.
+of variables assigned true. It is built as a truth table, one Python int
+whose bit ``m`` is set iff assignment ``m`` is a model. Positivity is
+exactly the condition that the all-true assignment (the top bit) is a
+model. The explicit form keeps conjunction, entailment and group trimming
+exact and easy to test; it is deliberately bounded to small universes.
+The bound binds only where a formula is built: a ``pos`` line and the
+constructors here. Early pruning without a formula forward-chains the
+equations instead (see ``amgu.early_prune``) and reaches 64 variables.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate, count
+from operator import add
 from typing import Iterable, Sequence
 
-import numpy as np
+from .terms import Equation, VariableUniverse, bit_positions, term_vars
 
-from .terms import Equation, VariableUniverse, term_vars
-
-# Materialising a formula enumerates 2**n assignments (1 MiB per bool column
+# Materialising a formula enumerates 2**n assignments (a 128 KiB truth table
 # at the bound). This caps a ``pos`` line and the model-set constructors
 # below; early pruning without a formula needs no model set.
 MAX_FORMULA_VARS = 20
@@ -78,36 +79,55 @@ def _bounded_size(universe: VariableUniverse) -> int:
     return n
 
 
-def _assignment_masks(universe: VariableUniverse) -> np.ndarray:
-    return np.arange(1 << _bounded_size(universe), dtype=np.uint64)
+def _column(n: int, i: int) -> int:
+    """The truth table of variable ``i``: bit ``m`` is set iff bit ``i`` of
+    ``m`` is. One period, ``2**i`` zeros then ``2**i`` ones, is doubled
+    until it covers the ``2**n`` assignments."""
+    block = ((1 << (1 << i)) - 1) << (1 << i)
+    for k in range(i + 1, n):
+        block |= block << (1 << k)
+    return block
 
 
-def _column(n: int, i: int) -> np.ndarray:
-    """Truth value of variable ``i`` in each of the ``2**n`` assignments,
-    indexed by assignment mask: bit ``i`` of the index is the middle axis."""
-    column = np.zeros((1 << (n - i - 1), 2, 1 << i), dtype=bool)
-    column[:, 1, :] = True
-    return column.reshape(-1)
+def _conjunction_table(n: int, var_mask: int) -> int:
+    """The truth table of the conjunction of the variables in ``var_mask``."""
+    if var_mask >> n:
+        return 0  # no assignment sets a variable outside the universe
+    table = (1 << (1 << n)) - 1
+    for i in bit_positions(var_mask):
+        table &= _column(n, i)
+    return table
+
+
+def _models(table: int) -> tuple[int, ...]:
+    """The set bits of a truth table, lowest first: the lengths of the zero
+    runs between ones, accumulated, plus the ones passed."""
+    runs = format(table, "b")[::-1].split("1")[:-1]
+    return tuple(map(add, accumulate(map(len, runs)), count()))
+
+
+def _of_table(universe: VariableUniverse, table: int) -> PosFormula:
+    """The formula with this truth table; the top bit is the all-true assignment."""
+    if not table >> ((1 << len(universe)) - 1) & 1:
+        raise NotPositiveError("the all-true assignment is not a model")
+    return PosFormula(universe, _models(table))
 
 
 def truth(universe: VariableUniverse) -> PosFormula:
     """The formula with no groundness information: every assignment is a model."""
-    return PosFormula.of_models(universe, _assignment_masks(universe).tolist())
+    return conjunction_of(universe, 0)
 
 
 def conjunction_of(universe: VariableUniverse, var_mask: int) -> PosFormula:
     """The conjunction of the variables in ``var_mask``."""
-    masks = _assignment_masks(universe)
-    sel = (masks & np.uint64(var_mask)) == np.uint64(var_mask)
-    return PosFormula.of_models(universe, masks[sel].tolist())
+    return _of_table(universe, _conjunction_table(_bounded_size(universe), var_mask))
 
 
 def biconditional(universe: VariableUniverse, left_mask: int, right_mask: int) -> PosFormula:
     """``(/\\ left) <-> (/\\ right)`` as a model set."""
-    masks = _assignment_masks(universe)
-    lv = (masks & np.uint64(left_mask)) == np.uint64(left_mask)
-    rv = (masks & np.uint64(right_mask)) == np.uint64(right_mask)
-    return PosFormula.of_models(universe, masks[lv == rv].tolist())
+    n = _bounded_size(universe)
+    differ = _conjunction_table(n, left_mask) ^ _conjunction_table(n, right_mask)
+    return _of_table(universe, differ ^ _conjunction_table(n, 0))
 
 
 def equation_groundness(eq: Equation, universe: VariableUniverse) -> PosFormula:
@@ -179,6 +199,7 @@ class _FormulaParser:
         self.tokens = tokens
         self.pos = 0
         self.n = len(universe)
+        self.all = (1 << (1 << self.n)) - 1
         self.bits = {v.name: i for i, v in enumerate(universe.variables)}
 
     def peek(self) -> str | None:
@@ -194,49 +215,49 @@ class _FormulaParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> np.ndarray:
+    def parse(self) -> int:
         value = self.formula()
         if self.pos != len(self.tokens):
             raise FormulaSyntaxError(f"unexpected {self.peek()!r}", self.next_col())
         return value
 
-    def formula(self) -> np.ndarray:
+    def formula(self) -> int:
         left = self.impl()
         if self.peek() == "<->":
             self.take()
             right = self.formula()
-            return left == right
+            return left ^ right ^ self.all
         return left
 
-    def impl(self) -> np.ndarray:
+    def impl(self) -> int:
         left = self.disj()
         if self.peek() == "->":
             self.take()
             right = self.impl()
-            return ~left | right
+            return left ^ self.all | right
         return left
 
-    def disj(self) -> np.ndarray:
+    def disj(self) -> int:
         value = self.conj()
         while self.peek() == "|":
             self.take()
             value = value | self.conj()
         return value
 
-    def conj(self) -> np.ndarray:
+    def conj(self) -> int:
         value = self.unary()
         while self.peek() == "&":
             self.take()
             value = value & self.unary()
         return value
 
-    def unary(self) -> np.ndarray:
+    def unary(self) -> int:
         tok = self.peek()
         if tok is None:
             raise FormulaSyntaxError("unexpected end of formula", self.next_col())
         if tok == "~":
             self.take()
-            return ~self.unary()
+            return self.unary() ^ self.all
         if tok == "(":
             self.take()
             value = self.formula()
@@ -248,7 +269,7 @@ class _FormulaParser:
         if name in ("&", "|", "->", "<->", ")"):
             raise FormulaSyntaxError(f"unexpected {name!r}", col)
         if name == "true":
-            return np.ones(1 << self.n, dtype=bool)
+            return self.all
         if name not in self.bits:
             raise UnknownFormulaVariable(name, col)
         return _column(self.n, self.bits[name])
@@ -257,17 +278,14 @@ class _FormulaParser:
 def parse_formula(text: str, universe: VariableUniverse) -> PosFormula:
     """Parse the surface syntax into a formula; reject non-positive results.
 
-    The value is a bool vector indexed by assignment mask, so the indices of
-    its true entries are the models, already sorted and inside the universe.
+    The value is a truth table, so its set bits are the models, already
+    sorted and inside the universe.
     """
     _bounded_size(universe)
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 1)
-    value = _FormulaParser(tokens, universe).parse()
-    if not value[-1]:
-        raise NotPositiveError("the all-true assignment is not a model")
-    return PosFormula(universe, tuple(np.flatnonzero(value).tolist()))
+    return _of_table(universe, _FormulaParser(tokens, universe).parse())
 
 
 def format_formula(f: PosFormula) -> str:

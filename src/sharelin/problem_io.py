@@ -255,22 +255,14 @@ def format_term(t: Term) -> str:
     return f"{t.functor}({', '.join(format_term(a) for a in t.args)})"
 
 
-def format_group(universe: VariableUniverse, mask: int) -> str:
-    return "{" + ",".join(universe.names_of_mask(mask)) + "}"
-
-
 def _printing_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return mask.bit_count(), bit_positions(mask)
 
 
-def canonical_groups(triple: SharingTriple) -> list[int]:
-    """The groups in printing order: by size, then by variable positions."""
-    return sorted(triple.groups, key=_printing_key)
-
-
 def format_groups(triple: SharingTriple) -> list[str]:
-    """The printed groups in canonical order. Each group's set bits are
-    walked once, for both its sort key and its names."""
+    """The printed groups in canonical order: by size, then by variable
+    positions. Each group's set bits are walked once, for both its sort key
+    and its names."""
     names = triple.universe.names
     return [
         "{" + ",".join([names[i] for i in positions]) + "}"

@@ -1,12 +1,18 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sharelin.amgu as amgu
 import sharelin.cli as cli
 from sharelin.fuzz import FuzzReport, Violation
+from sharelin.problem_io import parse_problem
 
 SIX_VARS = (
     "vars u v w x y z\n"
@@ -119,11 +125,23 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
          "limit exceeded: 19 sharing groups exceed the decomposition bound 16"),
         ("analyze", "vars x\nsharing {x}\n", ["--file-bound", "0"],
          "argument --file-bound: expected a positive integer, not '0'"),
+        ("oracle", None, ["--max-vars", "0"],
+         "argument --max-vars: expected a positive integer, not '0'"),
+        ("oracle", None, ["--max-eqs", "0"],
+         "argument --max-eqs: expected a positive integer, not '0'"),
+        ("oracle", None, ["--file-bound", "0"],
+         "argument --file-bound: expected a positive integer, not '0'"),
+        ("oracle", None, ["--file-bound", "-1"],
+         "argument --file-bound: expected a positive integer, not '-1'"),
     ],
-    ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero"],
+    ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero",
+         "oracle-max-vars-zero", "oracle-max-eqs-zero", "oracle-file-bound-zero",
+         "oracle-file-bound-negative"],
 )
 def test_parseable_input_never_tracebacks(problem_file, capsys, command, text, flags, expected):
-    code, out, err = run([command, problem_file(text)] + flags, capsys)
+    # oracle calls take no problem file
+    files = [] if text is None else [problem_file(text)]
+    code, out, err = run([command, *files, *flags], capsys)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
@@ -294,3 +312,111 @@ def test_timing_goes_to_stderr_not_stdout(problem_file, capsys):
     _, out, err = run(["analyze", problem_file(REDUNDANT)], capsys)
     assert "elapsed" not in out
     assert "elapsed" in err
+
+
+# A child interpreter in which any import of numpy fails.
+NO_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "import sharelin.cli\n"
+    "raise SystemExit(sharelin.cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["compare"], ["oracle", "--trials", "2"]],
+    ids=["analyze", "compare", "oracle"],
+)
+def test_runs_without_numpy(problem_file, capsys, argv):
+    if argv[0] != "oracle":
+        argv = [*argv, problem_file(PRUNING)]  # PRUNING has a pos line
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, *argv],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert "Traceback" not in child.stderr
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert (child.returncode, child.stdout) == (code, out)
+
+
+# pos formula trees over variable indices: an index or "true", ("~", t),
+# ("()", t) for parentheses the precedence does not need, or (op, t, t)
+_PRECEDENCE = {"<->": 0, "->": 1, "|": 2, "&": 3}
+
+
+def _pos_trees(n):
+    return st.recursive(
+        st.one_of(st.integers(0, n - 1), st.just("true")),
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(["~", "()"]), sub),
+            st.tuples(st.sampled_from(list(_PRECEDENCE)), sub, sub),
+        ),
+        max_leaves=12,
+    )
+
+
+def _render_pos(tree, need=0):
+    """The tree as a pos line, with only the parentheses that the grammar's
+    precedence needs: the arrows associate to the right, '|' and '&' to
+    the left, and '~' binds tightest."""
+    if tree == "true":
+        return tree
+    if isinstance(tree, int):
+        return f"v{tree}"
+    if tree[0] == "~":
+        return "~" + _render_pos(tree[1], 4)
+    if tree[0] == "()":
+        return "(" + _render_pos(tree[1]) + ")"
+    op, left, right = tree
+    level = _PRECEDENCE[op]
+    arrow = level < 2
+    text = f"{_render_pos(left, level + arrow)} {op} {_render_pos(right, level + (not arrow))}"
+    return text if level >= need else f"({text})"
+
+
+def _holds(tree, m):
+    if tree == "true":
+        return True
+    if isinstance(tree, int):
+        return bool(m >> tree & 1)
+    if tree[0] == "~":
+        return not _holds(tree[1], m)
+    if tree[0] == "()":
+        return _holds(tree[1], m)
+    a, b = _holds(tree[1], m), _holds(tree[2], m)
+    return {"&": a and b, "|": a or b, "->": not a or b, "<->": a == b}[tree[0]]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_pos_lines_parse_or_exit_cleanly(problem_file, capsys, data):
+    # lines from the pos grammar, some cut short, over 1 to 22 variables:
+    # past the 20-variable bound, and in universes up to 10 variables the
+    # models are checked against evaluating the tree on every assignment
+    n = data.draw(st.integers(1, 22), label="n")
+    tree = data.draw(_pos_trees(n), label="tree")
+    line = _render_pos(tree)
+    cut = data.draw(st.none() | st.integers(0, len(line) - 1), label="cut")
+    if cut is not None:
+        line = line[:cut]
+    text = wide_vars(n) + "sharing {v0}\npos " + line + "\n"
+    code, out, err = run(["analyze", problem_file(text)], capsys)
+    assert "Traceback" not in err
+    if code != 0:
+        assert code in (1, 2)
+        assert out == ""
+        assert len(err.splitlines()) == 1
+    if cut is not None:
+        return
+    if n > 20:
+        assert code == 2 and "building a groundness formula over" in err
+        return
+    models = [m for m in range(1 << n) if _holds(tree, m)] if n <= 10 else None
+    positive = _holds(tree, (1 << n) - 1)
+    assert code == (0 if positive else 2)
+    if positive and models is not None:
+        formula = parse_problem(text).formula
+        assert (tuple(range(1 << n)) if formula is None else formula.models) == tuple(models)

@@ -1,5 +1,7 @@
-"""Positive Boolean functions: parsing, conjunction, entailment, trimming."""
+"""Positive Boolean functions: parsing, conjunction, entailment, trimming,
+and the truth tables against the numpy code they replaced."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from sharelin.groundness import (
     NotPositiveError,
     PosFormula,
     UniverseTooLargeError,
+    _column,
+    _models,
     biconditional,
     conjoin,
     conjunction_of,
@@ -161,7 +165,7 @@ def _holds(tree, m):
 @settings(max_examples=150, deadline=None)
 @given(_trees)
 def test_parse_models_match_assignment_evaluation(tree):
-    # the bool columns index assignments by mask; evaluating the tree on each
+    # the truth tables index assignments by mask; evaluating the tree on each
     # mask must pick the same models, including the high bits
     models = tuple(m for m in range(1 << len(U8)) if _holds(tree, m))
     if U8.full_mask not in models:
@@ -177,6 +181,75 @@ def test_builders():
     assert f == parse_formula("x", XYZ)
     g = biconditional(XYZ, XYZ.mask_of([Variable("x")]), XYZ.mask_of([Variable("y"), Variable("z")]))
     assert g == parse_formula("x <-> (y & z)", XYZ)
+
+
+# The numpy constructors that the truth tables replaced: a uint64 vector of
+# every assignment mask, filtered by comparisons.
+def _np_assignments(universe):
+    return np.arange(1 << len(universe), dtype=np.uint64)
+
+
+def reference_truth(universe):
+    return PosFormula.of_models(universe, _np_assignments(universe).tolist())
+
+
+def reference_conjunction_of(universe, var_mask):
+    masks = _np_assignments(universe)
+    sel = (masks & np.uint64(var_mask)) == np.uint64(var_mask)
+    return PosFormula.of_models(universe, masks[sel].tolist())
+
+
+def reference_biconditional(universe, left_mask, right_mask):
+    masks = _np_assignments(universe)
+    lv = (masks & np.uint64(left_mask)) == np.uint64(left_mask)
+    rv = (masks & np.uint64(right_mask)) == np.uint64(right_mask)
+    return PosFormula.of_models(universe, masks[lv == rv].tolist())
+
+
+def _universe(n):
+    return VariableUniverse.of_names(f"v{i}" for i in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    )
+)
+def test_builders_match_numpy_reference(args):
+    n, left, right = args
+    u = _universe(n)
+    assert truth(u) == reference_truth(u)
+    assert conjunction_of(u, left) == reference_conjunction_of(u, left)
+    assert biconditional(u, left, right) == reference_biconditional(u, left, right)
+
+
+def _scan(table, n):
+    return tuple(m for m in range(1 << n) if table >> m & 1)
+
+
+def test_columns_match_a_scan():
+    # n = 1, 2 and 3 give tables shorter than a byte
+    for n in range(1, 13):
+        for i in range(n):
+            column = _column(n, i)
+            assert column >> (1 << n) == 0
+            assert _scan(column, n) == tuple(m for m in range(1 << n) if m >> i & 1)
+            assert _models(column) == _scan(column, n)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+def test_read_off_matches_a_scan(args):
+    n, table = args
+    assert _models(table) == _scan(table, n)
+
+
+def test_read_off_of_20_variable_tables():
+    size = 1 << 20
+    assert _models(1 << (size - 1)) == (size - 1,)
+    assert _models((1 << size) - 1) == tuple(range(size))
+    assert _models(int("10" * (size // 2), 2)) == tuple(range(1, size, 2))
+    assert _models(int("01" * (size // 2), 2)) == tuple(range(0, size, 2))
 
 
 def test_universe_size_guard():

@@ -1,4 +1,5 @@
-"""The kernels against golden values, a reference closure, and the closure laws."""
+"""The kernels against golden values, the numpy code they replaced, and the
+closure laws. numpy is a test-only dependency."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -42,6 +43,16 @@ def reference_closure(masks, guard=0):
         cur = grown
 
 
+def reference_pairwise(a, b, guard=0):
+    """The numpy broadcast over uint64 that ``pairwise_masks`` replaced."""
+    if not a or not b:
+        return ()
+    left = np.array(list(set(a)), dtype=np.uint64)[:, None]
+    right = np.array(list(set(b)), dtype=np.uint64)[None, :]
+    ok = ((left & right & np.uint64(guard)) == 0) | (left == right)
+    return tuple(np.unique((left | right)[ok]).tolist())
+
+
 def test_closure_golden():
     assert closure_masks([]) == ()
     assert closure_masks([0b11]) == (0b11,)
@@ -71,6 +82,14 @@ def test_pairwise_golden():
 @given(wide_mask_sets, wide_guards)
 def test_closure_matches_reference(masks, guard):
     assert closure_masks(masks, guard) == reference_closure(masks, guard)
+
+
+@settings(deadline=None)
+@given(wide_mask_sets, wide_mask_sets, st.just(0) | wide_guards, st.booleans())
+def test_pairwise_matches_reference(a, b, guard, same_sides):
+    if same_sides:
+        b = a
+    assert pairwise_masks(a, b, guard) == reference_pairwise(a, b, guard)
 
 
 @given(mask_sets, guards)
