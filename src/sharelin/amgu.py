@@ -7,7 +7,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .groundness import PosFormula
+from .groundness import PosFormula, complements_satisfying, least_model
 from .sharing import (
     SharingTriple,
     abstract_multiplicity,
@@ -302,36 +302,32 @@ def early_prune(
     """Trim the state before unification using the groundness consequences of
     the whole equation list.
 
-    The variables ground in every model of the strengthened formula cannot
-    share with anything; groups whose complement stops being a model are
-    impossible and are dropped, free variables touching the ground set are
-    demoted, and ground variables become linear.
+    The variables ground in every model of the strengthened formula F ∧ E
+    cannot share with anything; groups whose complement stops being a model
+    are impossible and are dropped, free variables touching the ground set
+    are demoted, and ground variables become linear.
 
-    Each equation is ``(/\\ lhs) <-> (/\\ rhs)``, a conjunction of definite
-    clauses whose models are closed under intersection. Without a formula
-    the ground set is therefore their least model, found by forward
-    chaining, and a group survives iff it misses that set. With a formula,
-    its models are filtered in one pass, and a surviving group's complement
-    must also be a model of the formula.
+    Each equation is ``(/\\ lhs) <-> (/\\ rhs)``, two definite clauses. When
+    F is absent (true) or a conjunction of definite clauses, F ∧ E is
+    definite, so its models are closed under intersection, and the
+    all-true assignment is one of them. The intersection of its models is
+    therefore its least model, which forward chaining finds. A group
+    survives iff it misses that set and its complement satisfies every
+    clause of F. Any other F keeps the explicit filter: its models that
+    satisfy E are intersected in one pass, and a surviving group's
+    complement must be a model of F.
     """
     universe = triple.universe
     full = universe.full_mask
     eq_masks = [
         (universe.term_mask(e.lhs), universe.term_mask(e.rhs)) for e in equations
     ]
-    if formula is None:
-        ground = 0
-        changed = True
-        while changed:
-            changed = False
-            for lv, rv in eq_masks:
-                if lv & ~ground == 0 and rv & ~ground:
-                    ground |= rv
-                    changed = True
-                if rv & ~ground == 0 and lv & ~ground:
-                    ground |= lv
-                    changed = True
-        new_groups = [g for g in triple.groups if not g & ground]
+    clauses = () if formula is None else formula.clauses
+    if clauses is not None:
+        ground = least_model([*eq_masks, *((rv, lv) for lv, rv in eq_masks), *clauses])
+        new_groups = complements_satisfying(
+            clauses, [g for g in triple.groups if not g & ground]
+        )
     else:
         models = formula.models
         ground = full

@@ -192,14 +192,24 @@ def cmd_oracle(args: argparse.Namespace, out=None, err=None) -> int:
     return EXIT_COUNTEREXAMPLE if violations else EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type for integers of at least ``low``, named ``kind``
+    in the usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, not {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -233,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="randomised soundness checking")
     p_oracle.add_argument("--seed", type=int, default=42)
-    p_oracle.add_argument("--trials", type=int, default=200)
+    p_oracle.add_argument("--trials", type=_non_negative_int, default=200)
     p_oracle.add_argument("--max-vars", type=_positive_int, default=4)
-    p_oracle.add_argument("--max-depth", type=int, default=3)
+    p_oracle.add_argument("--max-depth", type=_non_negative_int, default=3)
     p_oracle.add_argument("--max-eqs", type=_positive_int, default=3)
     p_oracle.add_argument("--file-bound", type=_positive_int, default=8, metavar="N",
                           help="group-count bound for reference-algorithm checks")

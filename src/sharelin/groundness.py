@@ -1,20 +1,23 @@
 """Groundness dependencies as positive Boolean functions over a universe.
 
-A formula is stored as its explicit model set: every model is the bitmask
-of variables assigned true. It is built as a truth table, one Python int
-whose bit ``m`` is set iff assignment ``m`` is a model. Positivity is
-exactly the condition that the all-true assignment (the top bit) is a
-model. The explicit form keeps conjunction, entailment and group trimming
-exact and easy to test; it is deliberately bounded to small universes.
-The bound binds only where a formula is built: a ``pos`` line and the
-constructors here. Early pruning without a formula forward-chains the
-equations instead (see ``amgu.early_prune``) and reaches 64 variables.
+A model is the bitmask of the variables assigned true, and positivity is
+exactly the condition that the all-true assignment is a model. A formula
+that is a conjunction of definite clauses, as the groundness of equations
+is, keeps its clauses: entailment, group trimming and early pruning
+forward-chain them (see ``amgu.early_prune``) and never enumerate
+assignments. Any other formula is held as its sorted model set, read off
+a truth table: one Python int whose bit ``m`` is set iff assignment ``m``
+is a model, so that the all-true assignment is the top bit. A clause
+form builds its table and models only when asked for them. Models keep
+equality and the remaining operations exact and easy to test. Every
+constructor is bounded to small universes, so that the models can always
+be derived. Early pruning without a formula reaches 64 variables.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, count
 from operator import add
 from typing import Iterable, Sequence
@@ -22,8 +25,9 @@ from typing import Iterable, Sequence
 from .terms import Equation, VariableUniverse, bit_positions, term_vars
 
 # Materialising a formula enumerates 2**n assignments (a 128 KiB truth table
-# at the bound). This caps a ``pos`` line and the model-set constructors
-# below; early pruning without a formula needs no model set.
+# at the bound). This caps every ``pos`` line and every constructor below,
+# clause forms included, whose models may be asked for; early pruning
+# without a formula needs no formula at all.
 MAX_FORMULA_VARS = 20
 
 
@@ -48,12 +52,31 @@ class UnknownFormulaVariable(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class PosFormula:
-    """A positive Boolean function, given by its sorted model masks."""
+Clause = tuple[int, int]
 
-    universe: VariableUniverse
-    models: tuple[int, ...]
+
+class PosFormula:
+    """A positive Boolean function over a universe.
+
+    A conjunction of definite clauses ``(body_mask, head_mask)``, each
+    meaning ``/\\ body -> /\\ head``, is kept in ``clauses``; ``true`` is
+    the empty conjunction. Its sorted ``models`` are derived from the
+    clauses' truth table on first use and cached. Any other function is
+    given by its sorted model masks, and ``clauses`` is ``None``. Two
+    formulas are equal iff they have the same universe and the same models,
+    whichever form they are in.
+    """
+
+    def __init__(
+        self,
+        universe: VariableUniverse,
+        *,
+        clauses: tuple[Clause, ...] | None = None,
+        models: tuple[int, ...] | None = None,
+    ):
+        self.universe = universe
+        self.clauses = clauses
+        self._models = models
 
     @classmethod
     def of_models(cls, universe: VariableUniverse, models: Iterable[int]) -> "PosFormula":
@@ -63,20 +86,76 @@ class PosFormula:
             raise ValueError("model mentions a variable outside the universe")
         if full not in ms:
             raise NotPositiveError("the all-true assignment is not a model")
-        return cls(universe, tuple(ms))
+        return cls(universe, models=tuple(ms))
+
+    @classmethod
+    def of_clauses(cls, universe: VariableUniverse, clauses: Iterable[Clause]) -> "PosFormula":
+        """The conjunction of definite clauses; the all-true assignment
+        satisfies each one, so it is always positive."""
+        _bounded_size(universe)
+        cs = tuple(clauses)
+        full = universe.full_mask
+        if any((body | head) & ~full for body, head in cs):
+            raise ValueError("clause mentions a variable outside the universe")
+        return cls(universe, clauses=cs)
+
+    @property
+    def models(self) -> tuple[int, ...]:
+        if self._models is None:
+            self._models = _models(_clauses_table(len(self.universe), self.clauses))
+        return self._models
 
     def is_truth(self) -> bool:
-        return len(self.models) == 1 << len(self.universe)
+        if self.clauses is not None:
+            return all(not head & ~body for body, head in self.clauses)
+        return len(self._models) == 1 << len(self.universe)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PosFormula):
+            return NotImplemented
+        return self.universe == other.universe and self.models == other.models
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.models))
+
+    def __repr__(self) -> str:
+        if self.clauses is not None:
+            return f"PosFormula({self.universe!r}, clauses={self.clauses!r})"
+        return f"PosFormula({self.universe!r}, models={self.models!r})"
 
 
-def _bounded_size(universe: VariableUniverse) -> int:
+def least_model(clauses: Sequence[Clause]) -> int:
+    """The least model of definite clauses, by forward chaining from the
+    empty set: a clause whose body is inside the set adds its head, until
+    no clause adds anything."""
+    ground = 0
+    changed = True
+    while changed:
+        changed = False
+        for body, head in clauses:
+            if not body & ~ground and head & ~ground:
+                ground |= head
+                changed = True
+    return ground
+
+
+def complements_satisfying(clauses: Iterable[Clause], groups: Iterable[int]) -> list[int]:
+    """The groups, in order, whose complement satisfies every clause: the
+    assignment that makes exactly the group false fails a clause iff the
+    clause's body misses the group and its head meets it."""
+    kept = list(groups)
+    for body, head in clauses:
+        kept = [g for g in kept if body & g or not head & g]
+    return kept
+
+
+def _bounded_size(universe: VariableUniverse) -> None:
     n = len(universe)
     if n > MAX_FORMULA_VARS:
         raise UniverseTooLargeError(
             f"building a groundness formula over {n} variables needs 2**{n} models; "
             f"the supported bound is {MAX_FORMULA_VARS}"
         )
-    return n
 
 
 def _column(n: int, i: int) -> int:
@@ -91,11 +170,18 @@ def _column(n: int, i: int) -> int:
 
 def _conjunction_table(n: int, var_mask: int) -> int:
     """The truth table of the conjunction of the variables in ``var_mask``."""
-    if var_mask >> n:
-        return 0  # no assignment sets a variable outside the universe
     table = (1 << (1 << n)) - 1
     for i in bit_positions(var_mask):
         table &= _column(n, i)
+    return table
+
+
+def _clauses_table(n: int, clauses: Iterable[Clause]) -> int:
+    """The truth table of a conjunction of definite clauses."""
+    every = (1 << (1 << n)) - 1
+    table = every
+    for body, head in clauses:
+        table &= _conjunction_table(n, body) ^ every | _conjunction_table(n, head)
     return table
 
 
@@ -110,7 +196,7 @@ def _of_table(universe: VariableUniverse, table: int) -> PosFormula:
     """The formula with this truth table; the top bit is the all-true assignment."""
     if not table >> ((1 << len(universe)) - 1) & 1:
         raise NotPositiveError("the all-true assignment is not a model")
-    return PosFormula(universe, _models(table))
+    return PosFormula(universe, models=_models(table))
 
 
 def truth(universe: VariableUniverse) -> PosFormula:
@@ -120,14 +206,12 @@ def truth(universe: VariableUniverse) -> PosFormula:
 
 def conjunction_of(universe: VariableUniverse, var_mask: int) -> PosFormula:
     """The conjunction of the variables in ``var_mask``."""
-    return _of_table(universe, _conjunction_table(_bounded_size(universe), var_mask))
+    return PosFormula.of_clauses(universe, ((0, var_mask),))
 
 
 def biconditional(universe: VariableUniverse, left_mask: int, right_mask: int) -> PosFormula:
-    """``(/\\ left) <-> (/\\ right)`` as a model set."""
-    n = _bounded_size(universe)
-    differ = _conjunction_table(n, left_mask) ^ _conjunction_table(n, right_mask)
-    return _of_table(universe, differ ^ _conjunction_table(n, 0))
+    """``(/\\ left) <-> (/\\ right)`` as two definite clauses."""
+    return PosFormula.of_clauses(universe, ((left_mask, right_mask), (right_mask, left_mask)))
 
 
 def equation_groundness(eq: Equation, universe: VariableUniverse) -> PosFormula:
@@ -143,11 +227,19 @@ def equation_groundness(eq: Equation, universe: VariableUniverse) -> PosFormula:
 def conjoin(f: PosFormula, g: PosFormula) -> PosFormula:
     if f.universe != g.universe:
         raise ValueError("conjoined formulas must share a universe")
+    if f.clauses is not None and g.clauses is not None:
+        return PosFormula(f.universe, clauses=f.clauses + g.clauses)
     return PosFormula.of_models(f.universe, set(f.models) & set(g.models))
 
 
 def entailed_ground(f: PosFormula) -> int:
-    """Mask of the variables true in every model (the definitely-ground set)."""
+    """Mask of the variables true in every model (the definitely-ground set).
+
+    For clauses this is their least model: the all-true assignment is a
+    model, and the models of definite clauses are closed under intersection.
+    """
+    if f.clauses is not None:
+        return least_model(f.clauses)
     mask = f.universe.full_mask
     for m in f.models:
         mask &= m
@@ -161,6 +253,8 @@ def trim(f: PosFormula, groups: Sequence[int]) -> tuple[int, ...]:
     rest of the universe is ground; any other group is impossible and is
     dropped. The empty group always survives (positivity).
     """
+    if f.clauses is not None:
+        return tuple(complements_satisfying(f.clauses, groups))
     model_set = set(f.models)
     full = f.universe.full_mask
     return tuple(g for g in groups if full & ~g in model_set)
@@ -194,13 +288,39 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# a parsed sub-formula: its definite clauses, or its truth table
+_Parsed = tuple[Clause, ...] | int
+
+
+def _conjunction_mask(value: _Parsed) -> int | None:
+    """The variables of a parsed value that is a conjunction of variables
+    (clauses that all have an empty body, ``true`` included), else ``None``."""
+    if isinstance(value, int) or any(body for body, _ in value):
+        return None
+    mask = 0
+    for _, head in value:
+        mask |= head
+    return mask
+
+
 class _FormulaParser:
+    """Recursive descent over the grammar above. A value is a tuple of
+    definite clauses while the sub-formula is ``true``, a conjunction of
+    variables, ``conj -> conj``, ``conj <-> conj`` or a ``&`` of such parts;
+    any other operator turns its operands into truth tables (ints)."""
+
     def __init__(self, tokens: list[tuple[str, int]], universe: VariableUniverse):
         self.tokens = tokens
         self.pos = 0
         self.n = len(universe)
-        self.all = (1 << (1 << self.n)) - 1
         self.bits = {v.name: i for i, v in enumerate(universe.variables)}
+
+    @cached_property
+    def all(self) -> int:
+        return (1 << (1 << self.n)) - 1
+
+    def table(self, value: _Parsed) -> int:
+        return value if isinstance(value, int) else _clauses_table(self.n, value)
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -215,49 +335,59 @@ class _FormulaParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> int:
+    def parse(self) -> _Parsed:
         value = self.formula()
         if self.pos != len(self.tokens):
             raise FormulaSyntaxError(f"unexpected {self.peek()!r}", self.next_col())
         return value
 
-    def formula(self) -> int:
+    def formula(self) -> _Parsed:
         left = self.impl()
         if self.peek() == "<->":
             self.take()
             right = self.formula()
-            return left ^ right ^ self.all
+            lv, rv = _conjunction_mask(left), _conjunction_mask(right)
+            if lv is not None and rv is not None:
+                return ((lv, rv), (rv, lv))
+            return self.table(left) ^ self.table(right) ^ self.all
         return left
 
-    def impl(self) -> int:
+    def impl(self) -> _Parsed:
         left = self.disj()
         if self.peek() == "->":
             self.take()
             right = self.impl()
-            return left ^ self.all | right
+            lv, rv = _conjunction_mask(left), _conjunction_mask(right)
+            if lv is not None and rv is not None:
+                return ((lv, rv),)
+            return self.table(left) ^ self.all | self.table(right)
         return left
 
-    def disj(self) -> int:
+    def disj(self) -> _Parsed:
         value = self.conj()
         while self.peek() == "|":
             self.take()
-            value = value | self.conj()
+            value = self.table(value) | self.table(self.conj())
         return value
 
-    def conj(self) -> int:
+    def conj(self) -> _Parsed:
         value = self.unary()
         while self.peek() == "&":
             self.take()
-            value = value & self.unary()
+            right = self.unary()
+            if isinstance(value, tuple) and isinstance(right, tuple):
+                value = value + right
+            else:
+                value = self.table(value) & self.table(right)
         return value
 
-    def unary(self) -> int:
+    def unary(self) -> _Parsed:
         tok = self.peek()
         if tok is None:
             raise FormulaSyntaxError("unexpected end of formula", self.next_col())
         if tok == "~":
             self.take()
-            return self.unary() ^ self.all
+            return self.table(self.unary()) ^ self.all
         if tok == "(":
             self.take()
             value = self.formula()
@@ -269,23 +399,27 @@ class _FormulaParser:
         if name in ("&", "|", "->", "<->", ")"):
             raise FormulaSyntaxError(f"unexpected {name!r}", col)
         if name == "true":
-            return self.all
+            return ()
         if name not in self.bits:
             raise UnknownFormulaVariable(name, col)
-        return _column(self.n, self.bits[name])
+        return ((0, 1 << self.bits[name]),)
 
 
 def parse_formula(text: str, universe: VariableUniverse) -> PosFormula:
     """Parse the surface syntax into a formula; reject non-positive results.
 
-    The value is a truth table, so its set bits are the models, already
-    sorted and inside the universe.
+    A conjunction of definite clauses keeps its clauses and builds no truth
+    table. Any other value is a truth table, so its set bits are the models,
+    already sorted and inside the universe.
     """
     _bounded_size(universe)
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 1)
-    return _of_table(universe, _FormulaParser(tokens, universe).parse())
+    value = _FormulaParser(tokens, universe).parse()
+    if isinstance(value, int):
+        return _of_table(universe, value)
+    return PosFormula(universe, clauses=value)
 
 
 def format_formula(f: PosFormula) -> str:

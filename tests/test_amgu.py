@@ -6,6 +6,7 @@ definitions by hand (cross-checked against the concrete oracle).
 """
 
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -387,6 +388,74 @@ def test_pos_model_filter_matches_model_set_pruning(data):
     assert early_prune(formula, equations, state) == model_set_early_prune(
         formula, equations, state
     )
+
+
+def model_filter_early_prune(formula, equations, triple):
+    """The early pruning that clause-form pruning replaced, verbatim: forward
+    chaining without a formula, and with one, a one-pass filter over its
+    explicit models with a lookup of each group's complement."""
+    universe = triple.universe
+    full = universe.full_mask
+    eq_masks = [
+        (universe.term_mask(e.lhs), universe.term_mask(e.rhs)) for e in equations
+    ]
+    if formula is None:
+        ground = 0
+        changed = True
+        while changed:
+            changed = False
+            for lv, rv in eq_masks:
+                if lv & ~ground == 0 and rv & ~ground:
+                    ground |= rv
+                    changed = True
+                if rv & ~ground == 0 and lv & ~ground:
+                    ground |= lv
+                    changed = True
+        new_groups = [g for g in triple.groups if not g & ground]
+    else:
+        models = formula.models
+        ground = full
+        for m in models:
+            for lv, rv in eq_masks:
+                if ((m & lv) == lv) != ((m & rv) == rv):
+                    break
+            else:
+                ground &= m
+        new_groups = []
+        for g in triple.groups:
+            if g & ground:
+                continue
+            complement = full & ~g
+            i = bisect_left(models, complement)
+            if i < len(models) and models[i] == complement:
+                new_groups.append(g)
+    touched = group_vars(g for g in triple.groups if g & ground)
+    return SharingTriple.make(
+        universe, new_groups, triple.free & ~touched, triple.linear | ground
+    )
+
+
+@st.composite
+def definite_formulas(draw, universe):
+    """A conjunction of random definite clauses. Sides are mostly a few
+    variables, so that chains form, and sometimes any mask, empty included."""
+    n = len(universe)
+    few = st.sets(st.integers(0, n - 1), max_size=3).map(lambda bits: sum(1 << b for b in bits))
+    side = st.one_of(few, few, st.integers(0, universe.full_mask))
+    return PosFormula.of_clauses(universe, draw(st.lists(st.tuples(side, side), max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_clause_pruning_matches_model_filter(data):
+    universe, equations, state = data.draw(prune_problems())
+    formula = data.draw(st.none() | definite_formulas(universe), label="formula")
+    expected = model_filter_early_prune(formula, equations, state)
+    assert early_prune(formula, equations, state) == expected
+    # the same function as an explicit model set goes through the model filter
+    explicit = PosFormula.of_models(universe, (formula or truth(universe)).models)
+    assert early_prune(explicit, equations, state) == expected
+    assert model_filter_early_prune(explicit, equations, state) == expected
 
 
 def exact_state(universe, base):

@@ -133,10 +133,14 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
          "argument --file-bound: expected a positive integer, not '0'"),
         ("oracle", None, ["--file-bound", "-1"],
          "argument --file-bound: expected a positive integer, not '-1'"),
+        ("oracle", None, ["--trials", "-5"],
+         "argument --trials: expected a non-negative integer, not '-5'"),
+        ("oracle", None, ["--trials", "2", "--max-depth", "-3"],
+         "argument --max-depth: expected a non-negative integer, not '-3'"),
     ],
     ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero",
          "oracle-max-vars-zero", "oracle-max-eqs-zero", "oracle-file-bound-zero",
-         "oracle-file-bound-negative"],
+         "oracle-file-bound-negative", "oracle-trials-negative", "oracle-max-depth-negative"],
 )
 def test_parseable_input_never_tracebacks(problem_file, capsys, command, text, flags, expected):
     # oracle calls take no problem file
@@ -227,6 +231,57 @@ def test_hub_output_is_byte_identical(problem_file, capsys, command, algo):
     assert hashlib.sha256(out.encode()).hexdigest() == HUB_DIGESTS[command, algo]
 
 
+# A consistent 20-variable state, so that pruning removes no free variable's
+# last group, under a pos line that is a conjunction of definite clauses
+# (v <-> conj, conj -> conj, bare variables, true) or one that is not (| and ~)
+POS_LINES = {
+    "definite": "(v0 <-> v1 & v2) & (v3 -> v4) & v5 & (v6 & v7 -> v8 & v9) & true"
+    " & (v10 <-> v11) & (v12 <-> true)",
+    "non-definite": "(v0 | v1) & (v3 -> v4 | v5) & (~v6 | v5) & (v10 <-> v11) & v13",
+}
+
+
+def pos_problem(pos):
+    return (
+        wide_vars(20)
+        + "sharing {v0,v12} {v1} {v2,v3} {v4} {v5,v6} {v7} {v8,v9} {v10} {v11,v13} {v14}"
+        " {v15,v16} {v17} {v18,v19} {v3,v18}\n"
+        "free v7 v17\n"
+        "lin v1 v4 v7 v10 v14 v17\n"
+        f"pos {POS_LINES[pos]}\n"
+        "eq v13 = a()\n"
+        "eq v0 = f(v3, v14)\n"
+        "eq v15 = g(v16, v17, v17)\n"
+        "eq v18 = v19\n"
+    )
+
+
+# stdout digests, recorded when every pos line was parsed to a truth table
+# and pruning filtered its explicit models
+POS_DIGESTS = {
+    ("definite", "analyze", "1"): "7827486e2d1bf418fb7d827f97abc4ba7d5a9c54b8d449e84d08e2f1b97aee94",
+    ("definite", "analyze", "2"): "7827486e2d1bf418fb7d827f97abc4ba7d5a9c54b8d449e84d08e2f1b97aee94",
+    ("definite", "analyze", "3"): "7827486e2d1bf418fb7d827f97abc4ba7d5a9c54b8d449e84d08e2f1b97aee94",
+    ("definite", "analyze", "file"): "7827486e2d1bf418fb7d827f97abc4ba7d5a9c54b8d449e84d08e2f1b97aee94",
+    ("definite", "compare", None): "f9260fd1f1a46cd12b087d9e8326d91a7b0e38a959a235dab4a267736ce6c5a6",
+    ("non-definite", "analyze", "1"): "85d1fb69ef0a7394c435656ccab0f9d1877aa4bc5965af9aee8bba1af09ae2e2",
+    ("non-definite", "analyze", "2"): "85d1fb69ef0a7394c435656ccab0f9d1877aa4bc5965af9aee8bba1af09ae2e2",
+    ("non-definite", "analyze", "3"): "85d1fb69ef0a7394c435656ccab0f9d1877aa4bc5965af9aee8bba1af09ae2e2",
+    ("non-definite", "analyze", "file"): "85d1fb69ef0a7394c435656ccab0f9d1877aa4bc5965af9aee8bba1af09ae2e2",
+    ("non-definite", "compare", None): "d263d28bb22fc35619b4ebefb54deab998a88b71682fc8d4e7e7c54a00aecc38",
+}
+
+
+@pytest.mark.parametrize("pos, command, algo", list(POS_DIGESTS))
+def test_pos_output_is_byte_identical(problem_file, capsys, pos, command, algo):
+    argv = [command, problem_file(pos_problem(pos))]
+    if algo is not None:
+        argv += ["--algo", algo]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == POS_DIGESTS[pos, command, algo]
+
+
 def test_missing_file(problem_file, capsys):
     code, _, err = run(["analyze", "no-such-file.sl"], capsys)
     assert code == 1
@@ -272,6 +327,12 @@ def test_oracle_clean_run(problem_file, capsys):
 
 def test_oracle_zero_trials_vacuous(problem_file, capsys):
     code, out, _ = run(["oracle", "--trials", "0"], capsys)
+    assert code == 0
+    assert "counterexamples: 0" in out
+
+
+def test_oracle_zero_depth_runs(problem_file, capsys):
+    code, out, _ = run(["oracle", "--trials", "2", "--max-depth", "0"], capsys)
     assert code == 0
     assert "counterexamples: 0" in out
 

@@ -172,7 +172,110 @@ def test_parse_models_match_assignment_evaluation(tree):
         with pytest.raises(NotPositiveError):
             parse_formula(_render(tree), U8)
     else:
-        assert parse_formula(_render(tree), U8) == PosFormula(U8, models)
+        assert parse_formula(_render(tree), U8) == PosFormula.of_models(U8, models)
+
+
+# definite pos lines: a '&' chain of parts, each ("conj", c), ("->", c, c) or
+# ("<->", c, c), where a conjunction c is (variable indices, parenthesised);
+# no indices is "true"
+def _definite_lines(n):
+    conj = st.tuples(st.lists(st.integers(0, n - 1), max_size=3), st.booleans())
+    part = st.one_of(
+        st.tuples(st.just("conj"), conj),
+        st.tuples(st.sampled_from(["->", "<->"]), conj, conj),
+    )
+    return st.lists(st.tuples(part, st.booleans()), min_size=1, max_size=5)
+
+
+def _render_conj(conj):
+    indices, paren = conj
+    text = " & ".join(f"v{i}" for i in indices) or "true"
+    return f"({text})" if paren else text
+
+
+def _render_definite(line):
+    """Minimal parentheses, plus the drawn ones: 'x <-> y & z' and
+    'a & b -> c' are left to the precedence of '&' over the arrows, and an
+    arrow is parenthesised only inside a longer '&' chain."""
+    parts = []
+    for part, paren in line:
+        if part[0] == "conj":
+            text = _render_conj(part[1])
+        else:
+            text = f"{_render_conj(part[1])} {part[0]} {_render_conj(part[2])}"
+            paren = paren or len(line) > 1
+        parts.append(f"({text})" if paren else text)
+    return " & ".join(parts)
+
+
+def _render_non_definite(line):
+    """The same function with every arrow spelled with '~' and '|', and every
+    conjunction c as 'c | c', so that no part is a definite clause."""
+    def neg_or(a, b):
+        return f"(~({_render_conj(a)}) | {_render_conj(b)})"
+
+    parts = []
+    for part, _ in line:
+        if part[0] == "conj":
+            parts.append(f"({_render_conj(part[1])} | {_render_conj(part[1])})")
+        elif part[0] == "->":
+            parts.append(neg_or(part[1], part[2]))
+        else:
+            parts.append(f"{neg_or(part[1], part[2])} & {neg_or(part[2], part[1])}")
+    return " & ".join(parts)
+
+
+def _definite_holds(line, m):
+    def conj(c):
+        return all(m >> i & 1 for i in c[0])
+
+    for (op, *sides), _ in line:
+        if op == "conj" and not conj(sides[0]):
+            return False
+        if op == "->" and conj(sides[0]) and not conj(sides[1]):
+            return False
+        if op == "<->" and conj(sides[0]) != conj(sides[1]):
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), _definite_lines(n))))
+def test_definite_lines_parse_to_clauses(args):
+    n, line = args
+    u = _universe(n)
+    f = parse_formula(_render_definite(line), u)
+    assert f.clauses is not None
+    models = tuple(m for m in range(1 << n) if _definite_holds(line, m))
+    assert f.models == models
+    explicit = PosFormula.of_models(u, models)
+    assert f == explicit and hash(f) == hash(explicit)
+    g = parse_formula(_render_non_definite(line), u)
+    assert g.clauses is None
+    assert f == g and hash(f) == hash(g)
+    # entailment, trimming and truth read the clauses; they must agree with
+    # the same function as a model set
+    assert f.is_truth() == explicit.is_truth() == (len(models) == 1 << n)
+    assert entailed_ground(f) == entailed_ground(explicit)
+    groups = tuple(range(1 << n))
+    assert trim(f, groups) == trim(explicit, groups)
+
+
+def test_definite_precedence_traps():
+    u = VariableUniverse.of_names(["a", "b", "c", "x", "y", "z"])
+    a, b, c, x, y, z = (1 << i for i in range(6))
+    # '&' binds tighter than either arrow
+    assert parse_formula("x <-> y & z", u).clauses == ((x, y | z), (y | z, x))
+    assert parse_formula("x <-> y & z", u) == parse_formula("x <-> (y & z)", u)
+    assert parse_formula("x <-> y & z", u) != parse_formula("(x <-> y) & z", u)
+    assert parse_formula("a & b -> c", u).clauses == ((a | b, c),)
+    assert parse_formula("a & b -> c", u) == parse_formula("(a & b) -> c", u)
+    assert parse_formula("a & b -> c", u) != parse_formula("a & (b -> c)", u)
+    assert parse_formula("a & (b -> c) & true", u).clauses == ((0, a), (b, c))
+    # an arrow over anything but a conjunction of variables is a truth table
+    for text in ("a -> b -> c", "(a <-> b) -> c", "a & (b -> c) -> x", "a -> b | c"):
+        assert parse_formula(text, u).clauses is None
+    assert parse_formula("a -> b -> c", u) == parse_formula("a & b -> c", u)
 
 
 def test_builders():
