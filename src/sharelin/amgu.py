@@ -4,28 +4,25 @@ reference, the lifting to equation lists, and early groundness pruning."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .groundness import PosFormula, complements_satisfying, least_model
 from .sharing import (
     SharingTriple,
-    abstract_multiplicity,
     freeness_decomposition,
     group_vars,
+    mask_multiplicity,
     pairwise_union,
     relevant,
     union_closure,
 )
-from .terms import (
-    Compound,
-    Equation,
-    EquationSet,
-    Term,
-    Variable,
-    VariableUniverse,
-    term_multiplicity,
-)
+from .terms import EquationSet, Term, TermSummary, VariableUniverse
+
+# An equation with both sides summarized over a universe.
+CompiledEquation = tuple[TermSummary, TermSummary]
+# A step's side: a term, or its summary when the caller compiled it already.
+Side = Term | TermSummary
 
 
 class AlgorithmId(Enum):
@@ -55,24 +52,35 @@ class AmguConfig:
             raise ValueError("file_bound must be positive")
 
 
+def compile_equations(
+    universe: VariableUniverse, equations: EquationSet
+) -> tuple[CompiledEquation, ...]:
+    """Summarize both sides of every equation; raises ``ValueError`` when a
+    variable escapes the universe."""
+    return tuple((universe.summarize(e.lhs), universe.summarize(e.rhs)) for e in equations)
+
+
 @dataclass(frozen=True)
 class AnalysisProblem:
     """One unit of analysis: an initial state, optional groundness context,
-    and the equations to solve abstractly, in order."""
+    and the equations to solve abstractly, in order.
+
+    ``compiled`` holds the equations' side summaries, made once while the
+    equations are validated; every analysis of the problem reuses them.
+    """
 
     universe: VariableUniverse
     initial: SharingTriple
     formula: PosFormula | None  # None means true (no groundness information)
     equations: EquationSet
+    compiled: tuple[CompiledEquation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.initial.universe != self.universe:
             raise ValueError("initial state is over a different universe")
         if self.formula is not None and self.formula.universe != self.universe:
             raise ValueError("groundness formula is over a different universe")
-        for eq in self.equations:
-            self.universe.term_mask(eq.lhs)
-            self.universe.term_mask(eq.rhs)
+        object.__setattr__(self, "compiled", compile_equations(self.universe, self.equations))
 
 
 def _combine(
@@ -132,18 +140,17 @@ def _combine(
 
 
 def _ground_trimmed_region(
-    universe: VariableUniverse,
+    full: int,
     rel_free: tuple[int, ...],
     rel_other: tuple[int, ...],
-    free_var: Variable,
+    fbit: int,
     other_mask: int,
     free: int,
 ) -> tuple[int, ...]:
-    """Region for a free variable against a compound: binding the variable
-    makes it ground exactly when the compound's variables outside its own
-    group are; groups contradicting that dependency are trimmed away."""
-    fbit = universe.bit(free_var)
-    full = universe.full_mask
+    """Region for the free variable ``fbit`` against a compound: binding the
+    variable makes it ground exactly when the compound's variables outside
+    its own group are; groups contradicting that dependency are trimmed
+    away."""
     region: set[int] = set()
     for g in rel_free:
         required = other_mask & ~(g & free)
@@ -159,34 +166,35 @@ def _amgu_raw(
     groups: tuple[int, ...],
     free: int,
     linear: int,
-    s: Term,
-    t: Term,
+    s: TermSummary,
+    t: TermSummary,
     variant: int,
     trade: bool,
 ) -> tuple[tuple[int, ...], int, int]:
     """One abstract unification step over raw masks (no normalisation)."""
-    s_mask = universe.term_mask(s)
-    t_mask = universe.term_mask(t)
+    s_mask, t_mask = s.mask, t.mask
     rel_s = relevant(groups, s_mask)
     rel_t = relevant(groups, t_mask)
-    s_free = isinstance(s, Variable) and bool(universe.bit(s) & free)
-    t_free = isinstance(t, Variable) and bool(universe.bit(t) & free)
-    chi_s = abstract_multiplicity(s, groups, linear, universe)
-    chi_t = abstract_multiplicity(t, groups, linear, universe)
+    s_free = bool(s.var_bit & free)
+    t_free = bool(t.var_bit & free)
+    chi_s = mask_multiplicity(s_mask, s.repeated, groups, linear)
+    chi_t = mask_multiplicity(t_mask, t.repeated, groups, linear)
+    full = universe.full_mask
 
+    # a side with no variable bit is a compound term (possibly a constant)
     if variant == 1 and (s_free or t_free):
         region = pairwise_union(rel_s, rel_t)
-    elif variant == 3 and s_free and isinstance(t, Compound):
-        region = _ground_trimmed_region(universe, rel_s, rel_t, s, t_mask, free)
-    elif variant == 3 and t_free and isinstance(s, Compound):
-        region = _ground_trimmed_region(universe, rel_t, rel_s, t, s_mask, free)
+    elif variant == 3 and s_free and not t.var_bit:
+        region = _ground_trimmed_region(full, rel_s, rel_t, s.var_bit, t_mask, free)
+    elif variant == 3 and t_free and not s.var_bit:
+        region = _ground_trimmed_region(full, rel_t, rel_s, t.var_bit, s_mask, free)
     else:
         guard = 0 if variant == 1 else free
         region = _combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask)
 
     removed = set(rel_s) | set(rel_t)
     new_groups = tuple(sorted({g for g in groups if g not in removed} | set(region)))
-    grounded = universe.full_mask & ~group_vars(new_groups)
+    grounded = full & ~group_vars(new_groups)
     vars_s = group_vars(rel_s)
     vars_t = group_vars(rel_t)
 
@@ -212,25 +220,33 @@ def _amgu_raw(
     return new_groups, new_free, new_linear
 
 
-def _amgu(
-    triple: SharingTriple, s: Term, t: Term, variant: int, trade: bool
-) -> SharingTriple:
+def _summary(universe: VariableUniverse, side: Side) -> TermSummary:
+    return side if isinstance(side, TermSummary) else universe.summarize(side)
+
+
+def _amgu(triple: SharingTriple, s: Side, t: Side, variant: int, trade: bool) -> SharingTriple:
+    universe = triple.universe
+    s, t = _summary(universe, s), _summary(universe, t)
     g, f, l = _amgu_raw(
-        triple.universe, triple.groups, triple.free, triple.linear, s, t, variant, trade
+        universe, triple.groups, triple.free, triple.linear, s, t, variant, trade
     )
-    return SharingTriple.make(triple.universe, g, f, l)
+    return SharingTriple.make(universe, g, f, l)
 
 
 def amgu1(
-    triple: SharingTriple, s: Term, t: Term, trade_efficiency: bool = False
+    triple: SharingTriple, s: Side, t: Side, trade_efficiency: bool = False
 ) -> SharingTriple:
     """Solve ``s = t`` abstractly, exploiting linearity on either side without
-    any independence requirement; a free side needs no closure at all."""
+    any independence requirement; a free side needs no closure at all.
+
+    Each side is a term over the triple's universe, or its
+    :class:`TermSummary` when the caller has compiled it already.
+    """
     return _amgu(triple, s, t, 1, trade_efficiency)
 
 
 def amgu2(
-    triple: SharingTriple, s: Term, t: Term, trade_efficiency: bool = False
+    triple: SharingTriple, s: Side, t: Side, trade_efficiency: bool = False
 ) -> SharingTriple:
     """Like :func:`amgu1`, but closure and pairwise union refuse to merge
     distinct groups sharing a free variable; freeness is wholly absorbed
@@ -239,7 +255,7 @@ def amgu2(
 
 
 def amgu3(
-    triple: SharingTriple, s: Term, t: Term, trade_efficiency: bool = False
+    triple: SharingTriple, s: Side, t: Side, trade_efficiency: bool = False
 ) -> SharingTriple:
     """Like :func:`amgu2`, plus per-group groundness trimming when a free
     variable meets a compound term."""
@@ -247,13 +263,14 @@ def amgu3(
 
 
 def decomposed_reference(
-    triple: SharingTriple, s: Term, t: Term, file_bound: int = 16
+    triple: SharingTriple, s: Side, t: Side, file_bound: int = 16
 ) -> SharingTriple:
     """Reference algorithm: split the state into freeness blocks, run the
     plain step on each, and recombine (union of groups, intersection of the
     free and linear sets). Precise but exponential in the group count."""
     blocks = freeness_decomposition(triple.groups, triple.free, max_groups=file_bound)
     universe = triple.universe
+    s, t = _summary(universe, s), _summary(universe, t)
     union_groups: set[int] = set()
     free_acc = universe.full_mask
     linear_acc = universe.full_mask
@@ -265,15 +282,31 @@ def decomposed_reference(
     return SharingTriple.make(universe, union_groups, free_acc, linear_acc)
 
 
-def _step(triple: SharingTriple, eq: Equation, config: AmguConfig) -> SharingTriple:
+def _step(triple: SharingTriple, eq: CompiledEquation, config: AmguConfig) -> SharingTriple:
     algo = config.algorithm
+    s, t = eq
     if algo is AlgorithmId.AMGU1:
-        return amgu1(triple, eq.lhs, eq.rhs, config.trade_efficiency)
+        return amgu1(triple, s, t, config.trade_efficiency)
     if algo is AlgorithmId.AMGU2:
-        return amgu2(triple, eq.lhs, eq.rhs, config.trade_efficiency)
+        return amgu2(triple, s, t, config.trade_efficiency)
     if algo is AlgorithmId.AMGU3:
-        return amgu3(triple, eq.lhs, eq.rhs, config.trade_efficiency)
-    return decomposed_reference(triple, eq.lhs, eq.rhs, config.file_bound)
+        return amgu3(triple, s, t, config.trade_efficiency)
+    return decomposed_reference(triple, s, t, config.file_bound)
+
+
+def fold_compiled(
+    triple: SharingTriple,
+    compiled: tuple[CompiledEquation, ...],
+    config: AmguConfig = AmguConfig(),
+) -> SharingTriple:
+    """:func:`fold_equations` over equations already compiled by
+    :func:`compile_equations` (such as ``AnalysisProblem.compiled``)."""
+    eqs = list(compiled)
+    if config.order == "ground-first":
+        eqs.sort(key=lambda e: 0 if e[0].mask == 0 or e[1].mask == 0 else 1)
+    for eq in eqs:
+        triple = _step(triple, eq, config)
+    return triple
 
 
 def fold_equations(
@@ -284,20 +317,14 @@ def fold_equations(
     ``ground-first`` schedules equations with a ground side before the rest
     (stable within each class); the result for any order is sound.
     """
-    eqs = list(equations)
-    if config.order == "ground-first":
-        eqs.sort(
-            key=lambda e: 0
-            if term_multiplicity(e.lhs) == 0 or term_multiplicity(e.rhs) == 0
-            else 1
-        )
-    for eq in eqs:
-        triple = _step(triple, eq, config)
-    return triple
+    return fold_compiled(triple, compile_equations(triple.universe, equations), config)
 
 
 def early_prune(
-    formula: PosFormula | None, equations: EquationSet, triple: SharingTriple
+    formula: PosFormula | None,
+    equations: EquationSet,
+    triple: SharingTriple,
+    compiled: tuple[CompiledEquation, ...] | None = None,
 ) -> SharingTriple:
     """Trim the state before unification using the groundness consequences of
     the whole equation list.
@@ -316,12 +343,14 @@ def early_prune(
     clause of F. Any other F keeps the explicit filter: its models that
     satisfy E are intersected in one pass, and a surviving group's
     complement must be a model of F.
+
+    ``compiled``, when given, is ``compile_equations`` of the equations.
     """
     universe = triple.universe
     full = universe.full_mask
-    eq_masks = [
-        (universe.term_mask(e.lhs), universe.term_mask(e.rhs)) for e in equations
-    ]
+    if compiled is None:
+        compiled = compile_equations(universe, equations)
+    eq_masks = [(lhs.mask, rhs.mask) for lhs, rhs in compiled]
     clauses = () if formula is None else formula.clauses
     if clauses is not None:
         ground = least_model([*eq_masks, *((rv, lv) for lv, rv in eq_masks), *clauses])
@@ -355,5 +384,5 @@ def analyze(problem: AnalysisProblem, config: AmguConfig = AmguConfig()) -> Shar
     """Early pruning (when enabled) followed by the configured equation fold."""
     triple = problem.initial
     if config.early_prune:
-        triple = early_prune(problem.formula, problem.equations, triple)
-    return fold_equations(triple, problem.equations, config)
+        triple = early_prune(problem.formula, problem.equations, triple, problem.compiled)
+    return fold_compiled(triple, problem.compiled, config)

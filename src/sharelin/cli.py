@@ -10,6 +10,7 @@ prints the subcommand's usage before it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ from .amgu import (
     AnalysisProblem,
     analyze,
     early_prune,
-    fold_equations,
+    fold_compiled,
 )
 from .fuzz import FuzzLimits, replay, run_trials
 from .groundness import UniverseTooLargeError
@@ -76,7 +77,7 @@ def _prune(problem: AnalysisProblem, config: AmguConfig) -> SharingTriple | None
     """The early-pruned initial state, or ``None`` when pruning is off."""
     if not config.early_prune:
         return None
-    return early_prune(problem.formula, problem.equations, problem.initial)
+    return early_prune(problem.formula, problem.equations, problem.initial, problem.compiled)
 
 
 def _print_pruned(report: RunReport, out) -> None:
@@ -135,7 +136,7 @@ def cmd_compare(args: argparse.Namespace, out=None, err=None) -> int:
         config = replace(base, algorithm=algo)
         label = _ALGO_LABELS[algo]
         try:
-            rows.append((label, fold_equations(initial, problem.equations, config), ""))
+            rows.append((label, fold_compiled(initial, problem.compiled, config), ""))
         except DecompositionLimitError as exc:
             rows.append((label, None, f"skipped: {exc}"))
     report = RunReport(tuple(rows), pruned, time.perf_counter() - start)
@@ -222,7 +223,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="group-count bound for the decomposed reference")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="sharelin",
         description="Set-sharing analysis with freeness and linearity "

@@ -292,8 +292,12 @@ def binding_multiplicity(rsf: RationalSolvedForm, v: Variable) -> int:
     seen through a cycle occurs unboundedly often in the unfolding, hence
     yields 2. Counts saturate at 2 throughout.
     """
-    edges = _out_edges(rsf)
+    return _multiplicity(rsf, _out_edges(rsf), v)
 
+
+def _multiplicity(
+    rsf: RationalSolvedForm, edges: dict[Variable, list[tuple[Variable, int]]], v: Variable
+) -> int:
     reach: set[Variable] = set()
     stack = [v]
     while stack:
@@ -356,6 +360,41 @@ def binding_multiplicity(rsf: RationalSolvedForm, v: Variable) -> int:
     return max(ways[leaf] for leaf in leaves)
 
 
+@dataclass(frozen=True)
+class SolvedFormMasks:
+    """The exact sharing, freeness and linearity of a solved form over a
+    universe: its occurrence groups (sorted, with the empty group), the
+    mask of its free variables and the mask of those whose binding has
+    multiplicity at most one."""
+
+    groups: tuple[int, ...]
+    free: int
+    linear: int
+
+    def described_by(self, triple: SharingTriple) -> bool:
+        """True when ``triple`` soundly abstracts the solved form: every
+        occurrence group is one of its groups, and its free and linear
+        variables are free and linear here."""
+        return (
+            set(triple.groups).issuperset(self.groups)
+            and not triple.free & ~self.free
+            and not triple.linear & ~self.linear
+        )
+
+
+def solved_form_masks(rsf: RationalSolvedForm, universe: VariableUniverse) -> SolvedFormMasks:
+    """Abstract the solved form once, for any number of :meth:`described_by`
+    checks; the binding graph's edges are built once for all variables."""
+    edges = _out_edges(rsf)
+    free = linear = 0
+    for i, v in enumerate(universe.variables):
+        if is_free(rsf, v):
+            free |= 1 << i
+        if _multiplicity(rsf, edges, v) <= 1:
+            linear |= 1 << i
+    return SolvedFormMasks(sharing_abstraction(rsf, universe), free, linear)
+
+
 def describes(triple: SharingTriple, equations: Iterable[Equation]) -> bool:
     """True when the equations unify and the triple soundly abstracts the
     resulting solved form: occurrence groups covered, claimed free variables
@@ -367,14 +406,4 @@ def describes(triple: SharingTriple, equations: Iterable[Equation]) -> bool:
     outcome = unify(equations)
     if not outcome.success:
         return False
-    rsf = outcome.solved_form
-    universe = triple.universe
-    if not set(sharing_abstraction(rsf, universe)) <= set(triple.groups):
-        return False
-    for v in universe.vars_of_mask(triple.free):
-        if not is_free(rsf, v):
-            return False
-    for v in universe.vars_of_mask(triple.linear):
-        if binding_multiplicity(rsf, v) > 1:
-            return False
-    return True
+    return solved_form_masks(outcome.solved_form, triple.universe).described_by(triple)

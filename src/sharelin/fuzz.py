@@ -25,14 +25,7 @@ from .amgu import (
     analyze,
     decomposed_reference,
 )
-from .concrete import (
-    binding_multiplicity,
-    describes,
-    groundness_abstraction,
-    is_free,
-    sharing_abstraction,
-    unify,
-)
+from .concrete import groundness_abstraction, solved_form_masks, unify
 from .problem_io import format_term, parse_equation, parse_problem, print_problem
 from .sharing import (
     SharingTriple,
@@ -130,10 +123,8 @@ def generate_instance(rng: random.Random, limits: FuzzLimits) -> Instance:
 def exact_abstraction(universe: VariableUniverse, equations: tuple[Equation, ...]):
     """The strongest state and formula describing the system's solved form."""
     rsf = unify(equations).solved_form
-    groups = sharing_abstraction(rsf, universe)
-    free = universe.mask_of(v for v in universe if is_free(rsf, v))
-    linear = universe.mask_of(v for v in universe if binding_multiplicity(rsf, v) <= 1)
-    triple = SharingTriple.make(universe, groups, free, linear)
+    exact = solved_form_masks(rsf, universe)
+    triple = SharingTriple.make(universe, exact.groups, exact.free, exact.linear)
     return rsf, triple, groundness_abstraction(rsf, universe)
 
 
@@ -164,15 +155,22 @@ def check_instance(
 ) -> list:
     """Run the whole property battery on one instance.
 
+    Each system (base, base plus the first equation, base plus all
+    equations) is unified and abstracted once; every soundness check is
+    then a mask comparison against that exact abstraction.
     ``report.stats`` records how often the conditional checks actually
     fired, so a caller can tell a vacuous pass from a real one.
     """
     count = report.count if report is not None else (lambda key: None)
     violations: list[Violation] = []
     universe = instance.universe
-    rsf0, triple0, formula0 = exact_abstraction(universe, instance.base)
+    # the base abstraction's triple holds the base solved form's exact masks
+    _, triple0, formula0 = exact_abstraction(universe, instance.base)
     full_system = instance.base + instance.equations
-    full_outcome = unify(full_system)
+    full_rsf = unify(full_system).solved_form
+    if full_rsf is not None:
+        full_exact = solved_form_masks(full_rsf, universe)
+        full_formula = groundness_abstraction(full_rsf, universe)
 
     def record(prop: str, detail: str, equations=instance.equations) -> None:
         violations.append(
@@ -180,41 +178,36 @@ def check_instance(
         )
 
     # every occurrence-group complement is a model of the groundness formula
-    for label, rsf in (("base", rsf0),) + (
-        (("full", full_outcome.solved_form),) if full_outcome.success else ()
+    for label, groups, formula in (("base", triple0.groups, formula0),) + (
+        (("full", full_exact.groups, full_formula),) if full_rsf is not None else ()
     ):
-        formula = groundness_abstraction(rsf, universe)
-        complements = {
-            universe.full_mask & ~g for g in sharing_abstraction(rsf, universe)
-        }
+        complements = {universe.full_mask & ~g for g in groups}
         if not complements <= set(formula.models):
             record(
                 "occurrence-complements-are-groundness-models",
                 f"violated for the {label} system",
             )
 
-    # solved forms do not depend on equation order
-    if full_outcome.success:
+    # solved forms do not depend on equation order; the formulas agree on
+    # the ground variables, which tells multiplicity 0 from 1 where the
+    # linear masks do not
+    if full_rsf is not None:
         shuffled = list(full_system)
         random.Random(trial).shuffle(shuffled)
         other = unify(shuffled).solved_form
-        rsf = full_outcome.solved_form
         same = (
-            sharing_abstraction(rsf, universe) == sharing_abstraction(other, universe)
-            and groundness_abstraction(rsf, universe) == groundness_abstraction(other, universe)
-            and all(is_free(rsf, v) == is_free(other, v) for v in universe)
-            and all(
-                binding_multiplicity(rsf, v) == binding_multiplicity(other, v)
-                for v in universe
-            )
+            solved_form_masks(other, universe) == full_exact
+            and groundness_abstraction(other, universe) == full_formula
         )
         if not same:
             record("unify-order-insensitive", "permuted system abstracts differently")
 
     # single-step checks on the first equation
     s, t = instance.equations[0].lhs, instance.equations[0].rhs
-    step_system = instance.base + (instance.equations[0],)
-    step_sat = unify(step_system).success
+    step_rsf = unify(instance.base + (instance.equations[0],)).solved_form
+    step_sat = step_rsf is not None
+    if step_sat:
+        step_exact = solved_form_masks(step_rsf, universe)
     results = {}
     for name, fn in (("amgu1", amgu1), ("amgu2", amgu2), ("amgu3", amgu3)):
         result = fn(triple0, s, t)
@@ -222,7 +215,7 @@ def check_instance(
         bad = _result_invariants(result)
         if bad:
             record(f"{name}-invariants", bad, equations=(instance.equations[0],))
-        if step_sat and not describes(result, step_system):
+        if step_sat and not step_exact.described_by(result):
             record(
                 f"{name}-soundness",
                 "result does not describe the solved form",
@@ -235,7 +228,7 @@ def check_instance(
                 "trading efficiency produced a smaller group set",
                 equations=(instance.equations[0],),
             )
-        if step_sat and not describes(widened, step_system):
+        if step_sat and not step_exact.described_by(widened):
             record(
                 f"{name}-trade-soundness",
                 "traded result does not describe the solved form",
@@ -257,7 +250,7 @@ def check_instance(
         if not set(reference.groups) <= set(results["amgu2"].groups):
             record("decomposed-within-amgu2", "reference exceeded the amgu2 group set",
                    equations=(instance.equations[0],))
-        if step_sat and not describes(reference, step_system):
+        if step_sat and not step_exact.described_by(reference):
             record("decomposed-soundness", "reference does not describe the solved form",
                    equations=(instance.equations[0],))
 
@@ -281,24 +274,28 @@ def check_instance(
                    "independent linear sides should not need closure",
                    equations=(instance.equations[0],))
 
-    # full pipeline: every algorithm, pruning on and off, equation order permuted
+    # full pipeline: every algorithm, pruning on and off, equation order
+    # permuted; one problem per order serves every configuration
+    problems = [
+        AnalysisProblem(universe, triple0, formula0, perm)
+        for perm in itertools.islice(
+            itertools.permutations(instance.equations), MAX_PERMUTATIONS
+        )
+    ]
     for algo in (AlgorithmId.AMGU1, AlgorithmId.AMGU2, AlgorithmId.AMGU3):
         for prune in (False, True):
-            perms = itertools.islice(
-                itertools.permutations(instance.equations), MAX_PERMUTATIONS
-            )
-            for k, perm in enumerate(perms):
-                config = AmguConfig(algorithm=algo, early_prune=prune)
-                problem = AnalysisProblem(universe, triple0, formula0, perm)
+            config = AmguConfig(algorithm=algo, early_prune=prune)
+            for k, problem in enumerate(problems):
                 result = analyze(problem, config)
                 tag = f"analysis[{algo.name.lower()},prune={'on' if prune else 'off'},perm={k}]"
                 bad = _result_invariants(result)
                 if bad:
-                    record(tag + "-invariants", bad, equations=perm)
-                if full_outcome.success:
+                    record(tag + "-invariants", bad, equations=problem.equations)
+                if full_rsf is not None:
                     count("analysis-satisfiable")
-                    if not describes(result, full_system):
-                        record(tag, "result does not describe the solved form", equations=perm)
+                    if not full_exact.described_by(result):
+                        record(tag, "result does not describe the solved form",
+                               equations=problem.equations)
 
     return violations
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _kernels
-from .terms import Term, Variable, VariableUniverse, variable_counts
+from .terms import Term, Variable, VariableUniverse
 
 
 class DecompositionLimitError(RuntimeError):
@@ -102,15 +102,17 @@ def abstract_multiplicity(
     1 means the instantiated term stays linear, so closure can be avoided
     on that side; 2 makes no such promise.
     """
-    counts = variable_counts(term)
+    summary = universe.summarize(term)
+    return mask_multiplicity(summary.mask, summary.repeated, groups, linear)
+
+
+def mask_multiplicity(
+    term_mask: int, repeated: int, groups: Sequence[int], linear: int
+) -> int:
+    """:func:`abstract_multiplicity` of a term given as ``var(t)`` and the
+    mask of its variables that occur at least twice."""
     shared = group_vars(groups)
-    term_mask = 0
-    for v, c in counts.items():
-        bit = universe.bit(v)
-        term_mask |= bit
-        if c >= 2 and bit & shared:
-            return 2
-    if shared & term_mask & ~linear:
+    if repeated & shared or shared & term_mask & ~linear:
         return 2
     for g in groups:
         if (g & term_mask).bit_count() >= 2:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,16 @@ def term_multiplicity(t: Term) -> int:
     return 2 if max(counts.values()) >= 2 else 1
 
 
+class TermSummary(NamedTuple):
+    """What the abstract operations read off a term, as masks over a
+    universe: ``var(t)``, the variables occurring at least twice, and the
+    term's own bit when it is a bare variable (0 otherwise)."""
+
+    mask: int
+    repeated: int
+    var_bit: int
+
+
 @dataclass(frozen=True)
 class VariableUniverse:
     """Finite ordered set of variables; declaration order fixes bit positions.
@@ -152,6 +162,24 @@ class VariableUniverse:
     def term_mask(self, t: Term) -> int:
         """Bitmask of ``var(t)``; raises when a variable escapes the universe."""
         return self.mask_of(term_vars(t))
+
+    def summarize(self, t: Term) -> TermSummary:
+        """The :class:`TermSummary` of ``t``, in one walk; raises when a
+        variable escapes the universe."""
+        if isinstance(t, Variable):
+            bit = self.bit(t)
+            return TermSummary(bit, 0, bit)
+        seen = repeated = 0
+        stack = list(t.args)
+        while stack:
+            cur = stack.pop()
+            if isinstance(cur, Variable):
+                bit = self.bit(cur)
+                repeated |= seen & bit
+                seen |= bit
+            else:
+                stack.extend(cur.args)
+        return TermSummary(seen, repeated, 0)
 
     def vars_of_mask(self, mask: int) -> tuple[Variable, ...]:
         variables = self.variables

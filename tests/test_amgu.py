@@ -45,12 +45,21 @@ from sharelin.groundness import (
 from sharelin.sharing import (
     DecompositionLimitError,
     SharingTriple,
+    abstract_multiplicity,
+    freeness_decomposition,
     group_vars,
     pairwise_union,
     relevant,
     union_closure,
 )
-from sharelin.terms import Compound, Equation, Variable, VariableUniverse
+from sharelin.terms import (
+    Compound,
+    Equation,
+    Variable,
+    VariableUniverse,
+    term_multiplicity,
+    variable_counts,
+)
 
 u, v, w, x, y, z = (Variable(n) for n in "uvwxyz")
 U6 = VariableUniverse.of_names(["u", "v", "w", "x", "y", "z"])
@@ -456,6 +465,194 @@ def test_clause_pruning_matches_model_filter(data):
     explicit = PosFormula.of_models(universe, (formula or truth(universe)).models)
     assert early_prune(explicit, equations, state) == expected
     assert model_filter_early_prune(explicit, equations, state) == expected
+
+
+def term_walking_ground_trimmed_region(universe, rel_free, rel_other, free_var, other_mask, free):
+    """``_ground_trimmed_region`` before equations were compiled, verbatim."""
+    fbit = universe.bit(free_var)
+    full = universe.full_mask
+    region: set[int] = set()
+    for g in rel_free:
+        required = other_mask & ~(g & free)
+        for cand in pairwise_union((g,), rel_other, free):
+            complement = full & ~cand
+            if bool(complement & fbit) == ((complement & required) == required):
+                region.add(cand)
+    return tuple(sorted(region))
+
+
+def term_walking_multiplicity(term, groups, linear, universe):
+    """``abstract_multiplicity`` before its mask logic moved into
+    ``mask_multiplicity``, verbatim."""
+    counts = variable_counts(term)
+    shared = group_vars(groups)
+    term_mask = 0
+    for v, c in counts.items():
+        bit = universe.bit(v)
+        term_mask |= bit
+        if c >= 2 and bit & shared:
+            return 2
+    if shared & term_mask & ~linear:
+        return 2
+    for g in groups:
+        if (g & term_mask).bit_count() >= 2:
+            return 2
+    return 1
+
+
+def term_walking_amgu_raw(universe, groups, free, linear, s, t, variant, trade):
+    """``_amgu_raw`` before equations were compiled, verbatim: it walks both
+    terms for their masks and multiplicities on every step."""
+    s_mask = universe.term_mask(s)
+    t_mask = universe.term_mask(t)
+    rel_s = relevant(groups, s_mask)
+    rel_t = relevant(groups, t_mask)
+    s_free = isinstance(s, Variable) and bool(universe.bit(s) & free)
+    t_free = isinstance(t, Variable) and bool(universe.bit(t) & free)
+    chi_s = term_walking_multiplicity(s, groups, linear, universe)
+    chi_t = term_walking_multiplicity(t, groups, linear, universe)
+
+    if variant == 1 and (s_free or t_free):
+        region = pairwise_union(rel_s, rel_t)
+    elif variant == 3 and s_free and isinstance(t, Compound):
+        region = term_walking_ground_trimmed_region(universe, rel_s, rel_t, s, t_mask, free)
+    elif variant == 3 and t_free and isinstance(s, Compound):
+        region = term_walking_ground_trimmed_region(universe, rel_t, rel_s, t, s_mask, free)
+    else:
+        guard = 0 if variant == 1 else free
+        region = _combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask)
+
+    removed = set(rel_s) | set(rel_t)
+    new_groups = tuple(sorted({g for g in groups if g not in removed} | set(region)))
+    grounded = universe.full_mask & ~group_vars(new_groups)
+    vars_s = group_vars(rel_s)
+    vars_t = group_vars(rel_t)
+
+    if s_free and t_free:
+        new_free = free
+    elif s_free:
+        new_free = free & ~vars_s
+    elif t_free:
+        new_free = free & ~vars_t
+    else:
+        new_free = free & ~(vars_s | vars_t)
+
+    if chi_s == 1 and chi_t == 1:
+        linear_kept = linear & ~(vars_s & vars_t)
+    elif chi_s == 1:
+        linear_kept = linear & ~vars_s
+    elif chi_t == 1:
+        linear_kept = linear & ~vars_t
+    else:
+        linear_kept = linear & ~(vars_s | vars_t)
+    new_linear = new_free | grounded | linear_kept
+
+    return new_groups, new_free, new_linear
+
+
+def term_walking_step(triple, s, t, variant, trade=False):
+    universe = triple.universe
+    g, f, l = term_walking_amgu_raw(
+        universe, triple.groups, triple.free, triple.linear, s, t, variant, trade
+    )
+    return SharingTriple.make(universe, g, f, l)
+
+
+def term_walking_decomposed(triple, s, t, file_bound=16):
+    blocks = freeness_decomposition(triple.groups, triple.free, max_groups=file_bound)
+    universe = triple.universe
+    union_groups: set[int] = set()
+    free_acc = universe.full_mask
+    linear_acc = universe.full_mask
+    for block in blocks:
+        g, f, l = term_walking_amgu_raw(
+            universe, block, triple.free, triple.linear, s, t, 1, False
+        )
+        union_groups.update(g)
+        free_acc &= f
+        linear_acc &= l
+    return SharingTriple.make(universe, union_groups, free_acc, linear_acc)
+
+
+def term_walking_fold(triple, equations, config):
+    eqs = list(equations)
+    if config.order == "ground-first":
+        eqs.sort(
+            key=lambda e: 0
+            if term_multiplicity(e.lhs) == 0 or term_multiplicity(e.rhs) == 0
+            else 1
+        )
+    variant = {AlgorithmId.AMGU1: 1, AlgorithmId.AMGU2: 2, AlgorithmId.AMGU3: 3}
+    for eq in eqs:
+        if config.algorithm is AlgorithmId.DECOMPOSED:
+            triple = term_walking_decomposed(triple, eq.lhs, eq.rhs, config.file_bound)
+        else:
+            triple = term_walking_step(
+                triple, eq.lhs, eq.rhs, variant[config.algorithm], config.trade_efficiency
+            )
+    return triple
+
+
+def outcome(fn, *args):
+    """A call's result, or the type of the decomposition-limit error it raised."""
+    try:
+        return fn(*args)
+    except DecompositionLimitError:
+        return DecompositionLimitError
+
+
+@st.composite
+def compiled_cases(draw):
+    """A state and equations over universes of 1-8 variables, or of 63/64
+    with sparse masks that reach bit n-1. Terms repeat variables, and a side
+    may be a bare variable or a constant."""
+    n = draw(st.one_of(st.integers(1, 8), st.sampled_from([63, 64])))
+    universe = VariableUniverse.of_names(f"v{i}" for i in range(n))
+    bits = list(range(n)) if n <= 8 else [0, 1, 2, 3, 31, 32, n - 2, n - 1]
+    masks = st.sets(st.sampled_from(bits)).map(lambda chosen: sum(1 << b for b in chosen))
+    variables = [universe.variables[b] for b in bits]
+    leaves = st.one_of(st.sampled_from(variables), st.just(Compound("a")))
+    terms = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(lambda a: Compound("f", (a,))),
+            st.tuples(inner, inner).map(lambda a: Compound("g", a)),
+            st.tuples(inner, inner, inner).map(lambda a: Compound("h", a)),
+        ),
+        max_leaves=6,
+    )
+    state = SharingTriple.make(
+        universe, draw(st.lists(masks, max_size=6)), draw(masks), draw(masks)
+    )
+    equations = tuple(
+        Equation(lhs, rhs) for lhs, rhs in draw(st.lists(st.tuples(terms, terms), min_size=1, max_size=3))
+    )
+    return state, equations
+
+
+@settings(max_examples=300, deadline=None)
+@given(compiled_cases())
+def test_compiled_steps_match_term_walking_steps(case):
+    state, equations = case
+    s, t = equations[0].lhs, equations[0].rhs
+    for variant, step in ((1, amgu1), (2, amgu2), (3, amgu3)):
+        for trade in (False, True):
+            assert step(state, s, t, trade) == term_walking_step(state, s, t, variant, trade)
+    assert outcome(decomposed_reference, state, s, t) == outcome(
+        term_walking_decomposed, state, s, t
+    )
+    assert abstract_multiplicity(s, state.groups, state.linear, state.universe) == (
+        term_walking_multiplicity(s, state.groups, state.linear, state.universe)
+    )
+    problem = AnalysisProblem(state.universe, state, None, equations)
+    for algo in AlgorithmId:
+        for order in ("given", "ground-first"):
+            for prune in (False, True):
+                config = AmguConfig(algorithm=algo, order=order, early_prune=prune)
+                start = early_prune(None, equations, state) if prune else state
+                expected = outcome(term_walking_fold, start, equations, config)
+                assert outcome(analyze, problem, config) == expected
+                assert outcome(fold_equations, start, equations, config) == expected
 
 
 def exact_state(universe, base):

@@ -369,6 +369,28 @@ def test_oracle_replay_round_trip(problem_file, tmp_path, capsys):
     assert code == 0
 
 
+# stdout digests, recorded when every describes() check re-ran unify and
+# every amgu step re-walked its equation's terms
+ORACLE_DIGESTS = {
+    (1, False): "26e46c1673ba7f4e6a48f28588e2c243db8a548e53a05a1f8136c0c1c19af4f0",
+    (2, False): "9e645e11f8a6a8fd1bc844ff703b8872efa0a09d67f50e220e4f018d1a166385",
+    (3, False): "33ddb53cdc74f98c97e5a07c6da10eb92f3fd2754c3faebf56db7d34fb0031ab",
+    (1, True): "8578a2d588373b6d5636ecaf63137d468f274cec3a88a1f0c4029f984829fb2a",
+    (2, True): "cf9f569562dd6fc58b210fab98d0f1cbb69d4293e8fd9b04218bd64bc2778c15",
+    (3, True): "570553ff8918a1dcf589f390ed7efa48aafa5153e7065f476ce0b4c6594314af",
+}
+
+
+@pytest.mark.parametrize("seed, wide", list(ORACLE_DIGESTS))
+def test_oracle_output_is_byte_identical(capsys, seed, wide):
+    argv = ["oracle", "--seed", str(seed), "--trials", "20"]
+    if wide:
+        argv += ["--max-vars", "6", "--max-eqs", "4"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[seed, wide]
+
+
 def test_timing_goes_to_stderr_not_stdout(problem_file, capsys):
     _, out, err = run(["analyze", problem_file(REDUNDANT)], capsys)
     assert "elapsed" not in out
@@ -401,6 +423,36 @@ def test_runs_without_numpy(problem_file, capsys, argv):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert (child.returncode, child.stdout) == (code, out)
+
+
+def fresh_run(argv):
+    """Exit code, stdout and stderr of ``sharelin`` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "sharelin.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return child.returncode, child.stdout, child.stderr
+
+
+def test_one_parser_serves_a_sequence_of_calls(problem_file, capsys):
+    path = problem_file(PRUNING)
+    calls = [
+        ["analyze", path, "--algo", "2"],
+        ["compare", path, "--no-early-prune"],
+        ["oracle", "--seed", "3", "--trials", "4"],
+        ["oracle", "--trials", "-1"],
+    ]
+    fresh = [fresh_run(argv) for argv in calls]
+    assert fresh[-1][0] == 2 and fresh[-1][2].startswith("usage:")
+    for _ in range(2):
+        for argv, (code, out, err) in zip(calls, fresh):
+            got = run(argv, capsys)
+            assert got[:2] == (code, out)
+            if code == 2:  # a usage error: no timing line, the same message
+                assert got[2] == err
+    assert cli.build_parser() is cli.build_parser()
 
 
 # pos formula trees over variable indices: an index or "true", ("~", t),

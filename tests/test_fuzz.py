@@ -2,16 +2,29 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import sharelin.amgu as amgu_mod
+from sharelin.concrete import (
+    binding_multiplicity,
+    describes,
+    is_free,
+    sharing_abstraction,
+    solved_form_masks,
+    unify,
+)
 from sharelin.fuzz import (
     FuzzLimits,
     Instance,
     check_instance,
     coincidence_trials,
+    exact_abstraction,
     generate_instance,
     replay,
     run_trials,
 )
+from sharelin.sharing import SharingTriple
 from sharelin.terms import Compound, Equation, Variable, VariableUniverse
 
 w, x, y, z = (Variable(n) for n in "wxyz")
@@ -54,6 +67,69 @@ def test_broken_closure_is_detected(monkeypatch):
     )
     violations = check_instance(NEEDS_CLOSURE, FuzzLimits())
     assert any("soundness" in v.prop for v in violations)
+
+
+def test_multiplicity_always_one_is_detected(monkeypatch):
+    # every side linear: closures are skipped and linearity is kept where
+    # a repeated or aliased variable should drop it
+    monkeypatch.setattr(amgu_mod, "mask_multiplicity", lambda *args: 1)
+    report = run_trials(seed=42, trials=50)
+    assert any(v.prop.endswith("soundness") for v in report.violations)
+
+
+def test_freeness_never_removed_is_detected(monkeypatch):
+    amgu_raw = amgu_mod._amgu_raw
+
+    def keeps_free(universe, groups, free, linear, *rest):
+        new_groups, _, new_linear = amgu_raw(universe, groups, free, linear, *rest)
+        return new_groups, free, new_linear
+
+    monkeypatch.setattr(amgu_mod, "_amgu_raw", keeps_free)
+    report = run_trials(seed=42, trials=50)
+    assert any(v.prop.endswith("soundness") for v in report.violations)
+
+
+def per_variable_describes(triple, equations):
+    """``describes`` before solved forms were abstracted to masks, verbatim:
+    one ``is_free`` or ``binding_multiplicity`` query per claimed variable."""
+    outcome = unify(equations)
+    if not outcome.success:
+        return False
+    rsf = outcome.solved_form
+    universe = triple.universe
+    if not set(sharing_abstraction(rsf, universe)) <= set(triple.groups):
+        return False
+    for v in universe.vars_of_mask(triple.free):
+        if not is_free(rsf, v):
+            return False
+    for v in universe.vars_of_mask(triple.linear):
+        if binding_multiplicity(rsf, v) > 1:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_mask_predicate_matches_describes(seed, data):
+    """For the systems the oracle draws and triples widened or narrowed from
+    the exact one, the mask comparison decides like ``describes``."""
+    instance = generate_instance(random.Random(seed), FuzzLimits(max_vars=5))
+    universe = instance.universe
+    _, exact, _ = exact_abstraction(universe, instance.base)
+    full = universe.full_mask
+    masks = st.just(0) | st.integers(0, full)
+    groups = set(exact.groups)
+    groups |= set(data.draw(st.lists(st.integers(0, full), max_size=3), label="added groups"))
+    groups -= set(data.draw(st.lists(st.sampled_from(sorted(groups)), max_size=2), label="dropped"))
+    free = (exact.free | data.draw(masks, label="added free")) & ~data.draw(masks, label="dropped free")
+    linear = (exact.linear | data.draw(masks, label="added lin")) & ~data.draw(masks, label="dropped lin")
+    triple = SharingTriple.make(universe, groups, free, linear)
+    for system in (instance.base, instance.base + instance.equations):
+        expected = per_variable_describes(triple, system)
+        assert describes(triple, system) == expected
+        rsf = unify(system).solved_form
+        if rsf is not None:
+            assert solved_form_masks(rsf, universe).described_by(triple) == expected
 
 
 def test_counterexample_replays_and_reproduces(monkeypatch):
