@@ -13,7 +13,7 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .amgu import (
     AlgorithmId,
@@ -47,17 +47,6 @@ _ALGO_LABELS = {
 }
 
 
-@dataclass
-class RunReport:
-    """What one invocation computed: result triples (``None`` marks a skipped
-    algorithm, with the reason in the note), the pruned input when early
-    pruning ran, and wall time (never printed to stdout)."""
-
-    results: tuple
-    pruned: SharingTriple | None
-    elapsed: float
-
-
 def _config_from_args(args: argparse.Namespace) -> AmguConfig:
     return AmguConfig(
         algorithm=AlgorithmId(getattr(args, "algo", "3")),
@@ -80,30 +69,24 @@ def _prune(problem: AnalysisProblem, config: AmguConfig) -> SharingTriple | None
     return early_prune(problem.formula, problem.equations, problem.initial, problem.compiled)
 
 
-def _print_pruned(report: RunReport, out) -> None:
-    if report.pruned is not None:
-        for line in format_triple(report.pruned):
-            print(f"# pruned {line}", file=out)
+def _print_pruned(pruned: SharingTriple | None) -> None:
+    if pruned is not None:
+        for line in format_triple(pruned):
+            print(f"# pruned {line}")
 
 
-def cmd_analyze(args: argparse.Namespace, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_analyze(args: argparse.Namespace) -> int:
     problem = _load(args.file)
     config = _config_from_args(args)
     start = time.perf_counter()
     pruned = _prune(problem, config)
     result = analyze(problem, config)
-    report = RunReport(
-        ((_ALGO_LABELS[config.algorithm], result, ""),),
-        pruned,
-        time.perf_counter() - start,
-    )
-    _print_pruned(report, out)
+    elapsed = time.perf_counter() - start
+    _print_pruned(pruned)
     for line in format_triple(result):
-        print(line, file=out)
-    print(f"# groups: {len(result.groups)}", file=out)
-    print(f"elapsed: {report.elapsed:.6f}s", file=err)
+        print(line)
+    print(f"# groups: {len(result.groups)}")
+    print(f"elapsed: {elapsed:.6f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -118,55 +101,43 @@ def _subset_mark(a: SharingTriple, b: SharingTriple) -> str:
     return "<>"
 
 
-def cmd_compare(args: argparse.Namespace, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_compare(args: argparse.Namespace) -> int:
     problem = _load(args.file)
     base = _config_from_args(args)
     start = time.perf_counter()
     pruned = _prune(problem, base)
     initial = problem.initial if pruned is None else pruned
     rows = []
-    for algo in (
-        AlgorithmId.AMGU1,
-        AlgorithmId.AMGU2,
-        AlgorithmId.AMGU3,
-        AlgorithmId.DECOMPOSED,
-    ):
+    for algo in AlgorithmId:
         config = replace(base, algorithm=algo)
         label = _ALGO_LABELS[algo]
         try:
             rows.append((label, fold_compiled(initial, problem.compiled, config), ""))
         except DecompositionLimitError as exc:
             rows.append((label, None, f"skipped: {exc}"))
-    report = RunReport(tuple(rows), pruned, time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
 
-    _print_pruned(report, out)
+    _print_pruned(pruned)
     universe = problem.universe
-    for label, triple, note in report.results:
+    for label, triple, note in rows:
         if triple is None:
-            print(f"{label:<6} {note}", file=out)
+            print(f"{label:<6} {note}")
             continue
         shown = " ".join(format_groups(triple))
         free = " ".join(universe.names_of_mask(triple.free)) or "-"
         lin = " ".join(universe.names_of_mask(triple.linear)) or "-"
-        print(
-            f"{label:<6} groups={len(triple.groups):<3} S: {shown}  F: {free}  L: {lin}",
-            file=out,
-        )
-    solved = [(label, triple) for label, triple, _ in report.results if triple]
+        print(f"{label:<6} groups={len(triple.groups):<3} S: {shown}  F: {free}  L: {lin}")
+    solved = [(label, triple) for label, triple, _ in rows if triple]
     for i in range(len(solved)):
         for j in range(i + 1, len(solved)):
             la, ta = solved[i]
             lb, tb = solved[j]
-            print(f"# {lb}.S {_subset_mark(tb, ta)} {la}.S", file=out)
-    print(f"elapsed: {report.elapsed:.6f}s", file=err)
+            print(f"# {lb}.S {_subset_mark(tb, ta)} {la}.S")
+    print(f"elapsed: {elapsed:.6f}s", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_oracle(args: argparse.Namespace) -> int:
     limits = FuzzLimits(
         max_vars=args.max_vars,
         max_depth=args.max_depth,
@@ -177,19 +148,18 @@ def cmd_oracle(args: argparse.Namespace, out=None, err=None) -> int:
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as handle:
             violations = replay(handle.read(), limits)
-        print(f"replay: {args.replay}", file=out)
+        print(f"replay: {args.replay}")
     else:
         report = run_trials(args.seed, args.trials, limits)
         violations = report.violations
         print(
             f"seed {args.seed} trials {args.trials} "
-            f"max-vars {args.max_vars} max-depth {args.max_depth} max-eqs {args.max_eqs}",
-            file=out,
+            f"max-vars {args.max_vars} max-depth {args.max_depth} max-eqs {args.max_eqs}"
         )
     for violation in sorted(violations, key=lambda v: (v.trial, v.prop)):
-        print(violation.render(), file=out)
-    print(f"counterexamples: {len(violations)}", file=out)
-    print(f"elapsed: {time.perf_counter() - start:.3f}s", file=err)
+        print(violation.render())
+    print(f"counterexamples: {len(violations)}")
+    print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return EXIT_COUNTEREXAMPLE if violations else EXIT_OK
 
 

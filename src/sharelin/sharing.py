@@ -1,11 +1,17 @@
-"""Set-sharing with freeness and linearity: states and group-set algebra."""
+"""Set-sharing with freeness and linearity: states and group-set algebra.
+
+Sharing groups are bitmasks over at most 64 variables, held as Python ints.
+The two group-set kernels are :func:`union_closure`, a semi-naive fixpoint,
+and :func:`pairwise_union`, one set comprehension over all pairs. A guard
+mask restricts which pairs combine: two *distinct* groups join only when
+their intersection avoids the guard. Guard 0 gives the unguarded operations.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import _kernels
 from .terms import Term, Variable, VariableUniverse
 
 
@@ -84,14 +90,26 @@ def union_closure(groups: Sequence[int], free_guard: int = 0) -> tuple[int, ...]
     two distinct groups carrying a common free variable describe
     incompatible computations and stay separate.
     """
-    return _kernels.closure_masks(groups, free_guard)
+    # Joining against base groups only is complete: any guarded union of
+    # derived groups decomposes into guarded single-group steps. Only the
+    # groups found in the last round can yield new ones.
+    base = tuple(set(groups))
+    seen = set(base)
+    frontier = base
+    while frontier:
+        frontier = {c | g for c in frontier for g in base if not c & g & free_guard} - seen
+        seen |= frontier
+    return tuple(sorted(seen))
 
 
 def pairwise_union(
     groups1: Sequence[int], groups2: Sequence[int], free_guard: int = 0
 ) -> tuple[int, ...]:
     """All unions of one group from each side; distinct pairs obey the guard."""
-    return _kernels.pairwise_masks(groups1, groups2, free_guard)
+    right = set(groups2)
+    return tuple(
+        sorted({x | y for x in set(groups1) for y in right if x == y or not x & y & free_guard})
+    )
 
 
 def abstract_multiplicity(

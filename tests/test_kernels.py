@@ -5,7 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharelin._kernels import closure_masks, pairwise_masks
+from sharelin.sharing import pairwise_union as pairwise_masks
+from sharelin.sharing import union_closure as closure_masks
 
 mask_sets = st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=8)
 guards = st.integers(min_value=0, max_value=(1 << 6) - 1)
@@ -58,9 +59,9 @@ def test_closure_golden():
     assert closure_masks([0b11]) == (0b11,)
     assert closure_masks([0b01, 0b10]) == (0b01, 0b10, 0b11)
     # guarded: the two groups meet on a guard bit, so they never combine
-    assert closure_masks([0b011, 0b101], guard=0b001) == (0b011, 0b101)
+    assert closure_masks([0b011, 0b101], 0b001) == (0b011, 0b101)
     assert closure_masks([BIT63, 0b1]) == (0b1, BIT63, BIT63 | 0b1)
-    assert closure_masks([BIT63 | 0b01, BIT63 | 0b10], guard=BIT63) == (
+    assert closure_masks([BIT63 | 0b01, BIT63 | 0b10], BIT63) == (
         BIT63 | 0b01,
         BIT63 | 0b10,
     )
@@ -71,11 +72,11 @@ def test_pairwise_golden():
     assert pairwise_masks([0b1], []) == ()
     assert pairwise_masks([0b1], [0b1]) == (0b1,)
     # distinct pair blocked by the guard; an equal pair never is
-    assert pairwise_masks([0b011], [0b110], guard=0b010) == ()
-    assert pairwise_masks([0b011], [0b011], guard=0b011) == (0b011,)
+    assert pairwise_masks([0b011], [0b110], 0b010) == ()
+    assert pairwise_masks([0b011], [0b011], 0b011) == (0b011,)
     # bit 63 survives the uint64 round trip, guarded or not
     assert pairwise_masks([BIT63, 0b1], [0b10]) == (0b11, BIT63 | 0b10)
-    assert pairwise_masks([BIT63 | 0b1], [BIT63 | 0b10], guard=BIT63) == ()
+    assert pairwise_masks([BIT63 | 0b1], [BIT63 | 0b10], BIT63) == ()
 
 
 @settings(deadline=None)
