@@ -332,7 +332,9 @@ def early_prune(
     The variables ground in every model of the strengthened formula F ∧ E
     cannot share with anything; groups whose complement stops being a model
     are impossible and are dropped, free variables touching the ground set
-    are demoted, and ground variables become linear.
+    are demoted, and ground variables become linear. A free variable that
+    no surviving group holds is demoted too: it is ground there, and a
+    state that calls it free describes no substitution.
 
     Each equation is ``(/\\ lhs) <-> (/\\ rhs)``, two definite clauses. When
     F is absent (true) or a conjunction of definite clauses, F ∧ E is
@@ -375,9 +377,8 @@ def early_prune(
             if i < len(models) and models[i] == complement:
                 new_groups.append(g)
     touched = group_vars(g for g in triple.groups if g & ground)
-    return SharingTriple.make(
-        universe, new_groups, triple.free & ~touched, triple.linear | ground
-    )
+    free = triple.free & ~touched & group_vars(new_groups)
+    return SharingTriple.make(universe, new_groups, free, triple.linear | ground)
 
 
 def analyze(problem: AnalysisProblem, config: AmguConfig = AmguConfig()) -> SharingTriple:

@@ -26,6 +26,7 @@ from .amgu import (
 from .fuzz import FuzzLimits, replay, run_trials
 from .groundness import UniverseTooLargeError
 from .problem_io import (
+    MAX_TERM_DEPTH,
     ParseError,
     SemanticError,
     format_groups,
@@ -163,9 +164,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_COUNTEREXAMPLE if violations else EXIT_OK
 
 
-def _int_at_least(low: int, kind: str):
+def _int_at_least(low: int, kind: str, high: int | None = None):
     """An argparse type for integers of at least ``low``, named ``kind``
-    in the usage error."""
+    in the usage error, and of at most ``high`` when it is given."""
 
     def parse(text: str) -> int:
         try:
@@ -174,6 +175,8 @@ def _int_at_least(low: int, kind: str):
             value = low - 1
         if value < low:
             raise argparse.ArgumentTypeError(f"expected a {kind} integer, not {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"expected at most {high}, not {text!r}")
         return value
 
     return parse
@@ -181,6 +184,9 @@ def _int_at_least(low: int, kind: str):
 
 _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
+# a generated term of depth d may end in a constant ``a()``, one argument
+# list deeper, and must still parse back from a counterexample file
+_term_depth = _int_at_least(0, "non-negative", high=MAX_TERM_DEPTH - 1)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--seed", type=int, default=42)
     p_oracle.add_argument("--trials", type=_non_negative_int, default=200)
     p_oracle.add_argument("--max-vars", type=_positive_int, default=4)
-    p_oracle.add_argument("--max-depth", type=_non_negative_int, default=3)
+    p_oracle.add_argument("--max-depth", type=_term_depth, default=3)
     p_oracle.add_argument("--max-eqs", type=_positive_int, default=3)
     p_oracle.add_argument("--file-bound", type=_positive_int, default=8, metavar="N",
                           help="group-count bound for reference-algorithm checks")

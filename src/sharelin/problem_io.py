@@ -11,7 +11,8 @@ Format (line oriented; ``#`` starts a comment)::
 
 Sections appear in exactly that order. Identifiers are
 ``[a-z][a-zA-Z0-9_]*``. A bare identifier in a term must be a declared
-variable; constants are zero-argument applications, written ``a()``. The
+variable; constants are zero-argument applications, written ``a()``. A
+term nests at most :data:`MAX_TERM_DEPTH` argument lists. The
 canonical printer emits text this parser accepts, so analysis results are
 themselves valid inputs.
 """
@@ -52,6 +53,9 @@ class SemanticError(ProblemError):
 
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+# Terms are walked recursively (parsing, hashing, printing, concrete
+# unification), so nesting is bounded well inside Python's recursion limit.
+MAX_TERM_DEPTH = 256
 _SECTION_ORDER = {"vars": 0, "sharing": 1, "free": 2, "lin": 3, "pos": 4, "eq": 5}
 
 
@@ -103,7 +107,7 @@ class _LineScanner:
             )
 
 
-def _parse_term(scanner: _LineScanner, universe: VariableUniverse) -> Term:
+def _parse_term(scanner: _LineScanner, universe: VariableUniverse, depth: int = 0) -> Term:
     name, col = scanner.ident("term")
     if scanner.peek() == "(":
         scanner.expect("(")
@@ -111,12 +115,16 @@ def _parse_term(scanner: _LineScanner, universe: VariableUniverse) -> Term:
             raise SemanticError(
                 f"declared variable {name!r} used as a functor", scanner.line, col
             )
+        if depth == MAX_TERM_DEPTH:
+            raise SemanticError(
+                f"term nested deeper than {MAX_TERM_DEPTH} argument lists", scanner.line, col
+            )
         args: list[Term] = []
         if scanner.peek() != ")":
-            args.append(_parse_term(scanner, universe))
+            args.append(_parse_term(scanner, universe, depth + 1))
             while scanner.peek() == ",":
                 scanner.expect(",")
-                args.append(_parse_term(scanner, universe))
+                args.append(_parse_term(scanner, universe, depth + 1))
         scanner.expect(")")
         return Compound(name, tuple(args))
     if Variable(name) not in universe:

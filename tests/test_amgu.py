@@ -312,6 +312,15 @@ class TestEarlyPrune:
         assert pruned.free == 0
         assert pruned.linear == XYZ.full_mask
 
+    def test_free_variable_whose_only_group_is_dropped_is_demoted(self):
+        # the complement of {x} falsifies y -> x, so {x} goes, and x is ground
+        u2 = VariableUniverse.of_names(["x", "y"])
+        state = SharingTriple.from_names(u2, [("x",), ("y",)], free=["x"])
+        pruned = early_prune(parse_formula("y -> x", u2), (Equation(y, y),), state)
+        assert pruned.group_names() == ((), ("y",))
+        assert pruned.free == 0
+        assert pruned.linear == u2.mask_of([x])
+
 
 def model_set_early_prune(formula, equations, triple):
     """The early pruning that forward chaining and the one-pass model filter
@@ -377,6 +386,13 @@ def pos_formulas(draw, universe):
     return formula
 
 
+def demote_groupless_free(triple):
+    """A reference result with its free variables that no group holds
+    demoted, as :func:`early_prune` does after the reference copies."""
+    free = triple.free & group_vars(triple.groups)
+    return SharingTriple.make(triple.universe, triple.groups, free, triple.linear)
+
+
 @settings(max_examples=150, deadline=None)
 @given(prune_problems())
 def test_forward_chaining_matches_truth_model_set(problem):
@@ -384,8 +400,8 @@ def test_forward_chaining_matches_truth_model_set(problem):
     assert early_prune(None, equations, state) == early_prune(
         truth(universe), equations, state
     )
-    assert early_prune(None, equations, state) == model_set_early_prune(
-        None, equations, state
+    assert early_prune(None, equations, state) == demote_groupless_free(
+        model_set_early_prune(None, equations, state)
     )
 
 
@@ -394,9 +410,18 @@ def test_forward_chaining_matches_truth_model_set(problem):
 def test_pos_model_filter_matches_model_set_pruning(data):
     universe, equations, state = data.draw(prune_problems())
     formula = data.draw(pos_formulas(universe))
-    assert early_prune(formula, equations, state) == model_set_early_prune(
-        formula, equations, state
+    assert early_prune(formula, equations, state) == demote_groupless_free(
+        model_set_early_prune(formula, equations, state)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pruning_leaves_no_free_variable_outside_every_group(data):
+    universe, equations, state = data.draw(prune_problems())
+    formula = data.draw(st.none() | pos_formulas(universe), label="formula")
+    result = early_prune(formula, equations, state)
+    assert result.free & ~group_vars(result.groups) == 0
 
 
 def model_filter_early_prune(formula, equations, triple):
@@ -459,12 +484,13 @@ def definite_formulas(draw, universe):
 def test_clause_pruning_matches_model_filter(data):
     universe, equations, state = data.draw(prune_problems())
     formula = data.draw(st.none() | definite_formulas(universe), label="formula")
-    expected = model_filter_early_prune(formula, equations, state)
+    reference = model_filter_early_prune(formula, equations, state)
+    expected = demote_groupless_free(reference)
     assert early_prune(formula, equations, state) == expected
     # the same function as an explicit model set goes through the model filter
     explicit = PosFormula.of_models(universe, (formula or truth(universe)).models)
     assert early_prune(explicit, equations, state) == expected
-    assert model_filter_early_prune(explicit, equations, state) == expected
+    assert model_filter_early_prune(explicit, equations, state) == reference
 
 
 def term_walking_ground_trimmed_region(universe, rel_free, rel_other, free_var, other_mask, free):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import sharelin.amgu as amgu
 import sharelin.cli as cli
 from sharelin.fuzz import FuzzReport, Violation
-from sharelin.problem_io import parse_problem
+from sharelin.problem_io import MAX_TERM_DEPTH, parse_problem
 
 SIX_VARS = (
     "vars u v w x y z\n"
@@ -62,6 +62,11 @@ def message_lines(err):
 
 def wide_vars(n):
     return "vars " + " ".join(f"v{i}" for i in range(n)) + "\n"
+
+
+def nested(depth, leaf="y"):
+    """``f(f(...f(leaf)...))`` with ``depth`` argument lists."""
+    return "f(" * depth + leaf + ")" * depth
 
 
 def test_analyze_collapses_to_empty_group_line(problem_file, capsys):
@@ -137,21 +142,43 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
          "argument --trials: expected a non-negative integer, not '-5'"),
         ("oracle", None, ["--trials", "2", "--max-depth", "-3"],
          "argument --max-depth: expected a non-negative integer, not '-3'"),
+        ("analyze", "vars x y\nsharing {x}\neq x = " + nested(257) + "\n", [],
+         "semantic error: line 3, column 520: term nested deeper than 256 argument lists"),
+        ("oracle", "# e0 x = " + nested(257) + "\nvars x y\nsharing {x,y}\neq x = y\n",
+         ["--replay"], "semantic error: line 1, column 518: term nested deeper than 256"),
+        ("oracle", None, ["--max-depth", "256"],
+         "argument --max-depth: expected at most 255, not '256'"),
     ],
     ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero",
          "oracle-max-vars-zero", "oracle-max-eqs-zero", "oracle-file-bound-zero",
-         "oracle-file-bound-negative", "oracle-trials-negative", "oracle-max-depth-negative"],
+         "oracle-file-bound-negative", "oracle-trials-negative", "oracle-max-depth-negative",
+         "eq-nested-past-bound", "replay-e0-nested-past-bound", "oracle-max-depth-past-bound"],
 )
 def test_parseable_input_never_tracebacks(problem_file, capsys, command, text, flags, expected):
-    # oracle calls take no problem file
+    # the file goes last, after --replay for oracle; other oracle calls take none
     files = [] if text is None else [problem_file(text)]
-    code, out, err = run([command, *files, *flags], capsys)
+    code, out, err = run([command, *flags, *files], capsys)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     lines = message_lines(err)
     assert len(lines) == 1
     assert expected in lines[0]
+
+
+def test_term_nested_at_the_bound_runs(problem_file, capsys):
+    assert MAX_TERM_DEPTH == 256
+    text = "vars x y\nsharing {x,y}\nfree y\neq x = " + nested(256) + "\n"
+    for argv in (["analyze", "--algo", "file"], ["compare"]):
+        code, out, _ = run([*argv, problem_file(text)], capsys)
+        assert code == 0
+        assert "groups" in out
+    # the deepest term --max-depth 255 can generate ends in a constant
+    replay = "# e0 x = " + nested(256) + "\nvars x y\nsharing {x,y}\nfree y\nlin x\n"
+    replay += "eq y = " + nested(255, "a()") + "\neq x = " + nested(256, "x") + "\n"
+    code, out, _ = run(["oracle", "--replay", problem_file(replay)], capsys)
+    assert code == 0
+    assert out.endswith("counterexamples: 0\n")
 
 
 def test_over_bound_universe_analyzes_without_pruning(problem_file, capsys):
