@@ -3,11 +3,10 @@ reference, the lifting to equation lists, and early groundness pruning."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .groundness import PosFormula, complements_satisfying, least_model
+from .groundness import PosFormula, complements_satisfying, conjoin, entailed_ground, trim
 from .sharing import (
     SharingTriple,
     freeness_decomposition,
@@ -140,7 +139,6 @@ def _combine(
 
 
 def _ground_trimmed_region(
-    full: int,
     rel_free: tuple[int, ...],
     rel_other: tuple[int, ...],
     fbit: int,
@@ -149,15 +147,13 @@ def _ground_trimmed_region(
 ) -> tuple[int, ...]:
     """Region for the free variable ``fbit`` against a compound: binding the
     variable makes it ground exactly when the compound's variables outside
-    its own group are; groups contradicting that dependency are trimmed
-    away."""
+    its own group are. That dependency is two definite clauses, and
+    candidates whose complement falsifies either are trimmed away."""
     region: set[int] = set()
     for g in rel_free:
         required = other_mask & ~(g & free)
-        for cand in pairwise_union((g,), rel_other, free):
-            complement = full & ~cand
-            if bool(complement & fbit) == ((complement & required) == required):
-                region.add(cand)
+        dependency = ((fbit, required), (required, fbit))
+        region.update(complements_satisfying(dependency, pairwise_union((g,), rel_other, free)))
     return tuple(sorted(region))
 
 
@@ -185,9 +181,9 @@ def _amgu_raw(
     if variant == 1 and (s_free or t_free):
         region = pairwise_union(rel_s, rel_t)
     elif variant == 3 and s_free and not t.var_bit:
-        region = _ground_trimmed_region(full, rel_s, rel_t, s.var_bit, t_mask, free)
+        region = _ground_trimmed_region(rel_s, rel_t, s.var_bit, t_mask, free)
     elif variant == 3 and t_free and not s.var_bit:
-        region = _ground_trimmed_region(full, rel_t, rel_s, t.var_bit, s_mask, free)
+        region = _ground_trimmed_region(rel_t, rel_s, t.var_bit, s_mask, free)
     else:
         guard = 0 if variant == 1 else free
         region = _combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask)
@@ -336,46 +332,24 @@ def early_prune(
     no surviving group holds is demoted too: it is ground there, and a
     state that calls it free describes no substitution.
 
-    Each equation is ``(/\\ lhs) <-> (/\\ rhs)``, two definite clauses. When
-    F is absent (true) or a conjunction of definite clauses, F ∧ E is
-    definite, so its models are closed under intersection, and the
-    all-true assignment is one of them. The intersection of its models is
-    therefore its least model, which forward chaining finds. A group
-    survives iff it misses that set and its complement satisfies every
-    clause of F. Any other F keeps the explicit filter: its models that
-    satisfy E are intersected in one pass, and a surviving group's
-    complement must be a model of F.
+    Each equation is ``(/\\ lhs) <-> (/\\ rhs)``, two definite clauses,
+    which form E. F ∧ E is a clause form when F is absent (true) or one,
+    and a truth table otherwise; ``entailed_ground`` forward-chains the
+    first and reads the columns of the second. A group survives iff it
+    misses the ground set and ``trim`` by F keeps it. E is built without
+    the formula bound, so pruning without a formula reaches 64 variables.
 
     ``compiled``, when given, is ``compile_equations`` of the equations.
     """
     universe = triple.universe
-    full = universe.full_mask
     if compiled is None:
         compiled = compile_equations(universe, equations)
-    eq_masks = [(lhs.mask, rhs.mask) for lhs, rhs in compiled]
-    clauses = () if formula is None else formula.clauses
-    if clauses is not None:
-        ground = least_model([*eq_masks, *((rv, lv) for lv, rv in eq_masks), *clauses])
-        new_groups = complements_satisfying(
-            clauses, [g for g in triple.groups if not g & ground]
-        )
-    else:
-        models = formula.models
-        ground = full
-        for m in models:
-            for lv, rv in eq_masks:
-                if ((m & lv) == lv) != ((m & rv) == rv):
-                    break
-            else:
-                ground &= m
-        new_groups = []
-        for g in triple.groups:
-            if g & ground:
-                continue
-            complement = full & ~g
-            i = bisect_left(models, complement)
-            if i < len(models) and models[i] == complement:
-                new_groups.append(g)
+    masks = [(lhs.mask, rhs.mask) for lhs, rhs in compiled]
+    eqs = PosFormula(universe, clauses=(*masks, *((rv, lv) for lv, rv in masks)))
+    ground = entailed_ground(eqs if formula is None else conjoin(formula, eqs))
+    new_groups = [g for g in triple.groups if not g & ground]
+    if formula is not None:
+        new_groups = trim(formula, new_groups)
     touched = group_vars(g for g in triple.groups if g & ground)
     free = triple.free & ~touched & group_vars(new_groups)
     return SharingTriple.make(universe, new_groups, free, triple.linear | ground)

@@ -9,13 +9,13 @@ walk counting over the graph, which is what makes the oracle executable.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .groundness import MAX_FORMULA_VARS, PosFormula, UniverseTooLargeError
 from .sharing import SharingTriple
-from .terms import Compound, Equation, Term, Variable, VariableUniverse, term_vars
+from .terms import Compound, Equation, Term, Variable, VariableUniverse, term_vars, variable_counts
 
 
 @dataclass(frozen=True)
@@ -231,27 +231,26 @@ def groundness_abstraction(
 ) -> PosFormula:
     """Groundness dependencies of the solved form over the universe.
 
-    A bound variable is ground exactly when all its reachable free leaves
-    are; the models are generated by ranging over leaf assignments, which
-    also eliminates any leaf outside the universe.
+    A variable is ground exactly when all its reachable free leaves are (an
+    unbound variable is its own leaf); the models are generated by ranging
+    over leaf assignments, which also eliminates any leaf outside the
+    universe. Each variable's leaves and each assignment are bitmasks over
+    the leaves.
     """
-    reach = {x: reachable_vars(rsf, x) for x in universe}
-    leaves = sorted(frozenset().union(*reach.values()) if reach else (), key=lambda v: v.name)
+    reach = [reachable_vars(rsf, x) for x in universe]
+    leaves = sorted(frozenset().union(*reach), key=lambda v: v.name)
     if len(leaves) > MAX_FORMULA_VARS:
         raise UniverseTooLargeError(
             f"enumerating groundness models over {len(leaves)} free leaves"
         )
+    leaf_bit = {leaf: 1 << i for i, leaf in enumerate(leaves)}
+    needs = [(sum(leaf_bit[leaf] for leaf in r), 1 << i) for i, r in enumerate(reach)]
     models: set[int] = set()
     for choice in range(1 << len(leaves)):
-        true_leaves = {leaf for i, leaf in enumerate(leaves) if choice >> i & 1}
         mask = 0
-        for x in universe:
-            if rsf.binding(x) is None:
-                value = x in true_leaves
-            else:
-                value = reach[x] <= true_leaves
-            if value:
-                mask |= universe.bit(x)
+        for need, bit in needs:
+            if not need & ~choice:
+                mask |= bit
         models.add(mask)
     return PosFormula.of_models(universe, models)
 
@@ -270,18 +269,9 @@ def is_free(rsf: RationalSolvedForm, v: Variable) -> bool:
 
 
 def _out_edges(rsf: RationalSolvedForm) -> dict[Variable, list[tuple[Variable, int]]]:
-    edges: dict[Variable, list[tuple[Variable, int]]] = {}
-    for v, t in rsf.bindings:
-        counts: Counter = Counter()
-        stack: list[Term] = [t]
-        while stack:
-            cur = stack.pop()
-            if isinstance(cur, Variable):
-                counts[cur] += 1
-            else:
-                stack.extend(cur.args)
-        edges[v] = [(w, min(2, c)) for w, c in counts.items()]
-    return edges
+    return {
+        v: [(w, min(2, c)) for w, c in variable_counts(t).items()] for v, t in rsf.bindings
+    }
 
 
 def binding_multiplicity(rsf: RationalSolvedForm, v: Variable) -> int:

@@ -22,10 +22,12 @@ from .amgu import (
     amgu1,
     amgu2,
     amgu3,
-    analyze,
     decomposed_reference,
+    early_prune,
+    fold_compiled,
 )
 from .concrete import groundness_abstraction, solved_form_masks, unify
+from .groundness import trim
 from .problem_io import format_term, parse_equation, parse_problem, print_problem
 from .sharing import (
     SharingTriple,
@@ -181,8 +183,7 @@ def check_instance(
     for label, groups, formula in (("base", triple0.groups, formula0),) + (
         (("full", full_exact.groups, full_formula),) if full_rsf is not None else ()
     ):
-        complements = {universe.full_mask & ~g for g in groups}
-        if not complements <= set(formula.models):
+        if len(trim(formula, groups)) != len(groups):
             record(
                 "occurrence-complements-are-groundness-models",
                 f"violated for the {label} system",
@@ -275,18 +276,20 @@ def check_instance(
                    equations=(instance.equations[0],))
 
     # full pipeline: every algorithm, pruning on and off, equation order
-    # permuted; one problem per order serves every configuration
+    # permuted; one problem per order serves every configuration. Pruning
+    # reads the equations as a set, so one pruned state serves every order.
     problems = [
         AnalysisProblem(universe, triple0, formula0, perm)
         for perm in itertools.islice(
             itertools.permutations(instance.equations), MAX_PERMUTATIONS
         )
     ]
+    pruned = early_prune(formula0, instance.equations, triple0, problems[0].compiled)
     for algo in (AlgorithmId.AMGU1, AlgorithmId.AMGU2, AlgorithmId.AMGU3):
-        for prune in (False, True):
-            config = AmguConfig(algorithm=algo, early_prune=prune)
+        config = AmguConfig(algorithm=algo)
+        for prune, start in ((False, triple0), (True, pruned)):
             for k, problem in enumerate(problems):
-                result = analyze(problem, config)
+                result = fold_compiled(start, problem.compiled, config)
                 tag = f"analysis[{algo.name.lower()},prune={'on' if prune else 'off'},perm={k}]"
                 bad = _result_invariants(result)
                 if bad:
@@ -368,10 +371,11 @@ def replay(text: str, limits: FuzzLimits = FuzzLimits()) -> list:
     problem = parse_problem(text)
     base: list[Equation] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped.startswith("# e0"):
+        if not raw.strip().startswith("# e0"):
             continue
-        base.append(parse_equation(stripped[len("# e0"):], problem.universe, lineno))
+        # blank out the prefix, so that columns still count from the line start
+        start = raw.index("# e0") + len("# e0")
+        base.append(parse_equation(" " * start + raw[start:], problem.universe, lineno))
     instance = Instance(problem.universe, tuple(base), problem.equations)
     if not unify(instance.base).success:
         return [

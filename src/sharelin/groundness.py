@@ -5,13 +5,14 @@ exactly the condition that the all-true assignment is a model. A formula
 that is a conjunction of definite clauses, as the groundness of equations
 is, keeps its clauses: entailment, group trimming and early pruning
 forward-chain them (see ``amgu.early_prune``) and never enumerate
-assignments. Any other formula is held as its sorted model set, read off
-a truth table: one Python int whose bit ``m`` is set iff assignment ``m``
-is a model, so that the all-true assignment is the top bit. A clause
-form builds its table and models only when asked for them. Models keep
-equality and the remaining operations exact and easy to test. Every
-constructor is bounded to small universes, so that the models can always
-be derived. Early pruning without a formula reaches 64 variables.
+assignments. Any other formula is held as its truth table: one Python int
+whose bit ``m`` is set iff assignment ``m`` is a model, so that the
+all-true assignment is the top bit. Conjunction, entailment, trimming and
+equality work on the table directly; a clause form builds its table only
+when one of them needs it, and models are read off a table only when
+asked for. Every constructor is bounded to small universes, so that the
+table can always be built. Early pruning reaches 64 variables through an
+unbounded clause form of the equations.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from typing import Iterable, Sequence
 
 from .terms import Equation, VariableUniverse, bit_positions, term_vars
 
-# Materialising a formula enumerates 2**n assignments (a 128 KiB truth table
-# at the bound). This caps every ``pos`` line and every constructor below,
-# clause forms included, whose models may be asked for; early pruning
-# without a formula needs no formula at all.
+# A truth table has 2**n bits (128 KiB at the bound). This caps every ``pos``
+# line and every constructor below, clause forms included, whose table may
+# be built; early pruning's own clause form of the equations is unbounded
+# and builds a table only when conjoined with a bounded one.
 MAX_FORMULA_VARS = 20
 
 
@@ -60,11 +61,10 @@ class PosFormula:
 
     A conjunction of definite clauses ``(body_mask, head_mask)``, each
     meaning ``/\\ body -> /\\ head``, is kept in ``clauses``; ``true`` is
-    the empty conjunction. Its sorted ``models`` are derived from the
-    clauses' truth table on first use and cached. Any other function is
-    given by its sorted model masks, and ``clauses`` is ``None``. Two
-    formulas are equal iff they have the same universe and the same models,
-    whichever form they are in.
+    the empty conjunction. Its ``table`` is derived from the clauses on
+    first use. Any other function is given by its truth table, and
+    ``clauses`` is ``None``. Two formulas are equal iff they have the same
+    universe and the same table, whichever form they are in.
     """
 
     def __init__(
@@ -72,21 +72,22 @@ class PosFormula:
         universe: VariableUniverse,
         *,
         clauses: tuple[Clause, ...] | None = None,
-        models: tuple[int, ...] | None = None,
+        table: int | None = None,
     ):
         self.universe = universe
         self.clauses = clauses
-        self._models = models
+        self._table = table
 
     @classmethod
     def of_models(cls, universe: VariableUniverse, models: Iterable[int]) -> "PosFormula":
-        ms = sorted(set(int(m) for m in models))
         full = universe.full_mask
-        if any(m & ~full for m in ms):
-            raise ValueError("model mentions a variable outside the universe")
-        if full not in ms:
-            raise NotPositiveError("the all-true assignment is not a model")
-        return cls(universe, models=tuple(ms))
+        bits = bytearray(((1 << len(universe)) + 7) // 8)
+        for m in models:
+            m = int(m)
+            if m & ~full:
+                raise ValueError("model mentions a variable outside the universe")
+            bits[m >> 3] |= 1 << (m & 7)
+        return _of_table(universe, int.from_bytes(bits, "little"))
 
     @classmethod
     def of_clauses(cls, universe: VariableUniverse, clauses: Iterable[Clause]) -> "PosFormula":
@@ -100,28 +101,32 @@ class PosFormula:
         return cls(universe, clauses=cs)
 
     @property
+    def table(self) -> int:
+        if self._table is None:
+            self._table = _clauses_table(len(self.universe), self.clauses)
+        return self._table
+
+    @property
     def models(self) -> tuple[int, ...]:
-        if self._models is None:
-            self._models = _models(_clauses_table(len(self.universe), self.clauses))
-        return self._models
+        return _models(self.table)
 
     def is_truth(self) -> bool:
         if self.clauses is not None:
             return all(not head & ~body for body, head in self.clauses)
-        return len(self._models) == 1 << len(self.universe)
+        return self.table == (1 << (1 << len(self.universe))) - 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PosFormula):
             return NotImplemented
-        return self.universe == other.universe and self.models == other.models
+        return self.universe == other.universe and self.table == other.table
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.models))
+        return hash((self.universe, self.table))
 
     def __repr__(self) -> str:
         if self.clauses is not None:
             return f"PosFormula({self.universe!r}, clauses={self.clauses!r})"
-        return f"PosFormula({self.universe!r}, models={self.models!r})"
+        return f"PosFormula({self.universe!r}, table={self.table:#x})"
 
 
 def least_model(clauses: Sequence[Clause]) -> int:
@@ -194,9 +199,9 @@ def _models(table: int) -> tuple[int, ...]:
 
 def _of_table(universe: VariableUniverse, table: int) -> PosFormula:
     """The formula with this truth table; the top bit is the all-true assignment."""
-    if not table >> ((1 << len(universe)) - 1) & 1:
+    if not table >> universe.full_mask & 1:
         raise NotPositiveError("the all-true assignment is not a model")
-    return PosFormula(universe, models=_models(table))
+    return PosFormula(universe, table=table)
 
 
 def truth(universe: VariableUniverse) -> PosFormula:
@@ -229,7 +234,7 @@ def conjoin(f: PosFormula, g: PosFormula) -> PosFormula:
         raise ValueError("conjoined formulas must share a universe")
     if f.clauses is not None and g.clauses is not None:
         return PosFormula(f.universe, clauses=f.clauses + g.clauses)
-    return PosFormula.of_models(f.universe, set(f.models) & set(g.models))
+    return PosFormula(f.universe, table=f.table & g.table)
 
 
 def entailed_ground(f: PosFormula) -> int:
@@ -237,13 +242,13 @@ def entailed_ground(f: PosFormula) -> int:
 
     For clauses this is their least model: the all-true assignment is a
     model, and the models of definite clauses are closed under intersection.
+    For a table it is the variables whose column contains the table.
     """
     if f.clauses is not None:
         return least_model(f.clauses)
-    mask = f.universe.full_mask
-    for m in f.models:
-        mask &= m
-    return mask
+    n = len(f.universe)
+    table = f.table
+    return sum(1 << i for i in range(n) if not table & ~_column(n, i))
 
 
 def trim(f: PosFormula, groups: Sequence[int]) -> tuple[int, ...]:
@@ -255,9 +260,9 @@ def trim(f: PosFormula, groups: Sequence[int]) -> tuple[int, ...]:
     """
     if f.clauses is not None:
         return tuple(complements_satisfying(f.clauses, groups))
-    model_set = set(f.models)
     full = f.universe.full_mask
-    return tuple(g for g in groups if full & ~g in model_set)
+    table = f.table
+    return tuple(g for g in groups if table >> (full & ~g) & 1)
 
 
 # --- surface syntax ---------------------------------------------------------
@@ -409,8 +414,7 @@ def parse_formula(text: str, universe: VariableUniverse) -> PosFormula:
     """Parse the surface syntax into a formula; reject non-positive results.
 
     A conjunction of definite clauses keeps its clauses and builds no truth
-    table. Any other value is a truth table, so its set bits are the models,
-    already sorted and inside the universe.
+    table. Any other value is kept as its truth table.
     """
     _bounded_size(universe)
     tokens = _tokenize(text)

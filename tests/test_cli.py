@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sharelin.amgu as amgu
 import sharelin.cli as cli
+import sharelin.groundness as groundness
 from sharelin.fuzz import FuzzReport, Violation
 from sharelin.problem_io import MAX_TERM_DEPTH, parse_problem
 
@@ -145,7 +146,7 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
         ("analyze", "vars x y\nsharing {x}\neq x = " + nested(257) + "\n", [],
          "semantic error: line 3, column 520: term nested deeper than 256 argument lists"),
         ("oracle", "# e0 x = " + nested(257) + "\nvars x y\nsharing {x,y}\neq x = y\n",
-         ["--replay"], "semantic error: line 1, column 518: term nested deeper than 256"),
+         ["--replay"], "semantic error: line 1, column 522: term nested deeper than 256"),
         ("oracle", None, ["--max-depth", "256"],
          "argument --max-depth: expected at most 255, not '256'"),
     ],
@@ -307,6 +308,25 @@ def test_pos_output_is_byte_identical(problem_file, capsys, pos, command, algo):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == POS_DIGESTS[pos, command, algo]
+
+
+@pytest.mark.parametrize(
+    "command, algo", [key[1:] for key in POS_DIGESTS if key[0] == "non-definite"]
+)
+def test_non_definite_line_never_lists_its_models(problem_file, capsys, monkeypatch,
+                                                  command, algo):
+    # parsing, conjoining with the equations, entailment and trimming all
+    # work on the truth table; listing its 135 168 models would raise
+    def no_listing(table):
+        raise AssertionError("the formula's models were listed")
+
+    monkeypatch.setattr(groundness, "_models", no_listing)
+    argv = [command, problem_file(pos_problem("non-definite"))]
+    if algo is not None:
+        argv += ["--algo", algo]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == POS_DIGESTS["non-definite", command, algo]
 
 
 def test_missing_file(problem_file, capsys):

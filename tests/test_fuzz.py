@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sharelin.amgu as amgu_mod
+import sharelin.fuzz as fuzz_mod
 from sharelin.concrete import (
     binding_multiplicity,
     describes,
@@ -87,6 +88,25 @@ def test_freeness_never_removed_is_detected(monkeypatch):
     monkeypatch.setattr(amgu_mod, "_amgu_raw", keeps_free)
     report = run_trials(seed=42, trials=50)
     assert any(v.prop.endswith("soundness") for v in report.violations)
+
+
+def test_oracle_prunes_each_instance_once(monkeypatch):
+    early_prune = amgu_mod.early_prune
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return early_prune(*args)
+
+    # count the calls made through either module's name, including those
+    # inside amgu.analyze
+    monkeypatch.setattr(fuzz_mod, "early_prune", counting)
+    monkeypatch.setattr(amgu_mod, "early_prune", counting)
+    rng = random.Random(5)
+    instances = [generate_instance(rng, FuzzLimits()) for _ in range(20)]
+    for instance in instances:
+        check_instance(instance, FuzzLimits())
+    assert len(calls) == len(instances)
 
 
 def per_variable_describes(triple, equations):

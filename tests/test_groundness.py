@@ -365,3 +365,54 @@ def test_formula_survives_problem_round_trip():
     text = "vars x y z\nsharing {x,y}\npos x -> (y & z)\n"
     problem = parse_problem(text)
     assert problem.formula == parse_formula("x -> (y & z)", problem.universe)
+
+
+# The model-set branches of conjoin, entailed_ground, trim and
+# PosFormula.__eq__ before a formula was held as its truth table, verbatim.
+def model_set_conjoin(f, g):
+    return PosFormula.of_models(f.universe, set(f.models) & set(g.models))
+
+
+def model_set_entailed_ground(f):
+    mask = f.universe.full_mask
+    for m in f.models:
+        mask &= m
+    return mask
+
+
+def model_set_trim(f, groups):
+    model_set = set(f.models)
+    full = f.universe.full_mask
+    return tuple(g for g in groups if full & ~g in model_set)
+
+
+def model_set_eq(self, other):
+    return self.universe == other.universe and self.models == other.models
+
+
+@st.composite
+def _tables_or_clauses(draw, universe):
+    full = universe.full_mask
+    masks = st.integers(0, full)
+    if draw(st.booleans()):
+        return PosFormula.of_models(universe, draw(st.lists(masks, max_size=40)) + [full])
+    return PosFormula.of_clauses(universe, draw(st.lists(st.tuples(masks, masks), max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_operations_match_model_set_copies(data):
+    u = _universe(data.draw(st.integers(1, 8), label="n"))
+    f = data.draw(_tables_or_clauses(u), label="f")
+    # the same function in the other form, or another formula
+    g = data.draw(
+        st.one_of(st.just(PosFormula.of_models(u, f.models)), _tables_or_clauses(u)), label="g"
+    )
+    groups = tuple(data.draw(st.lists(st.integers(0, u.full_mask), max_size=12), label="groups"))
+    conjoined = conjoin(f, g)
+    assert model_set_eq(conjoined, model_set_conjoin(f, g))
+    for h in (f, g, conjoined):
+        assert entailed_ground(h) == model_set_entailed_ground(h)
+        assert trim(h, groups) == model_set_trim(h, groups)
+    assert (f == g) == model_set_eq(f, g)
+    assert (f == g) <= (hash(f) == hash(g))
