@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .groundness import MAX_FORMULA_VARS, PosFormula, UniverseTooLargeError
+from .groundness import PosFormula
 from .sharing import SharingTriple
 from .terms import Compound, Equation, Term, Variable, VariableUniverse, term_vars, variable_counts
 
@@ -232,27 +232,14 @@ def groundness_abstraction(
     """Groundness dependencies of the solved form over the universe.
 
     A variable is ground exactly when all its reachable free leaves are (an
-    unbound variable is its own leaf); the models are generated by ranging
-    over leaf assignments, which also eliminates any leaf outside the
-    universe. Each variable's leaves and each assignment are bitmasks over
-    the leaves.
+    unbound variable is its own leaf): for each bound ``x`` the two definite
+    clauses of ``x <-> /\\ leaves(x)``. No assignment is enumerated, so the
+    clause form holds at any universe size. Every leaf must lie in the
+    universe, as it does for a system over the universe's variables.
     """
-    reach = [reachable_vars(rsf, x) for x in universe]
-    leaves = sorted(frozenset().union(*reach), key=lambda v: v.name)
-    if len(leaves) > MAX_FORMULA_VARS:
-        raise UniverseTooLargeError(
-            f"enumerating groundness models over {len(leaves)} free leaves"
-        )
-    leaf_bit = {leaf: 1 << i for i, leaf in enumerate(leaves)}
-    needs = [(sum(leaf_bit[leaf] for leaf in r), 1 << i) for i, r in enumerate(reach)]
-    models: set[int] = set()
-    for choice in range(1 << len(leaves)):
-        mask = 0
-        for need, bit in needs:
-            if not need & ~choice:
-                mask |= bit
-        models.add(mask)
-    return PosFormula.of_models(universe, models)
+    reach = [universe.mask_of(reachable_vars(rsf, x)) for x in universe]
+    defs = [(leaves, 1 << i) for i, leaves in enumerate(reach) if leaves != 1 << i]
+    return PosFormula(universe, clauses=(*defs, *((x, leaves) for leaves, x in defs)))
 
 
 def is_free(rsf: RationalSolvedForm, v: Variable) -> bool:

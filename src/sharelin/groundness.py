@@ -3,16 +3,15 @@
 A model is the bitmask of the variables assigned true, and positivity is
 exactly the condition that the all-true assignment is a model. A formula
 that is a conjunction of definite clauses, as the groundness of equations
-is, keeps its clauses: entailment, group trimming and early pruning
-forward-chain them (see ``amgu.early_prune``) and never enumerate
-assignments. Any other formula is held as its truth table: one Python int
-whose bit ``m`` is set iff assignment ``m`` is a model, so that the
-all-true assignment is the top bit. Conjunction, entailment, trimming and
-equality work on the table directly; a clause form builds its table only
-when one of them needs it, and models are read off a table only when
-asked for. Every constructor is bounded to small universes, so that the
-table can always be built. Early pruning reaches 64 variables through an
-unbounded clause form of the equations.
+and of solved forms is, keeps its clauses: entailment, equality, group
+trimming and early pruning forward-chain them (see ``amgu.early_prune``),
+and their models are listed closed set by closed set, so a clause form
+works at any universe size. Any other formula is held as its truth table:
+one Python int whose bit ``m`` is set iff assignment ``m`` is a model, so
+that the all-true assignment is the top bit. Conjunction, entailment,
+trimming and equality work on the table directly, and models are read off
+it only when asked for. A table is only ever built over a bounded
+universe; a clause form builds one only when it meets a table.
 """
 
 from __future__ import annotations
@@ -21,14 +20,13 @@ import re
 from functools import cached_property
 from itertools import accumulate, count
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .terms import Equation, VariableUniverse, bit_positions, term_vars
 
-# A truth table has 2**n bits (128 KiB at the bound). This caps every ``pos``
-# line and every constructor below, clause forms included, whose table may
-# be built; early pruning's own clause form of the equations is unbounded
-# and builds a table only when conjoined with a bounded one.
+# A truth table has 2**n bits (128 KiB at the bound). This caps every table,
+# every ``pos`` line and the clause constructors below; the clause forms of
+# early pruning's equations and of a solved form's groundness are unbounded.
 MAX_FORMULA_VARS = 20
 
 
@@ -37,7 +35,7 @@ class NotPositiveError(ValueError):
 
 
 class UniverseTooLargeError(ValueError):
-    """Explicit model sets are only supported for small universes."""
+    """Truth tables are only built over small universes."""
 
 
 class FormulaSyntaxError(ValueError):
@@ -62,9 +60,10 @@ class PosFormula:
     A conjunction of definite clauses ``(body_mask, head_mask)``, each
     meaning ``/\\ body -> /\\ head``, is kept in ``clauses``; ``true`` is
     the empty conjunction. Its ``table`` is derived from the clauses on
-    first use. Any other function is given by its truth table, and
-    ``clauses`` is ``None``. Two formulas are equal iff they have the same
-    universe and the same table, whichever form they are in.
+    first use, within the size bound. Any other function is given by its
+    truth table, and ``clauses`` is ``None``. Two formulas are equal iff
+    they have the same universe and the same models: two clause forms iff
+    each entails the other's clauses, else iff their tables agree.
     """
 
     def __init__(
@@ -80,6 +79,7 @@ class PosFormula:
 
     @classmethod
     def of_models(cls, universe: VariableUniverse, models: Iterable[int]) -> "PosFormula":
+        _bounded_size(universe)
         full = universe.full_mask
         bits = bytearray(((1 << len(universe)) + 7) // 8)
         for m in models:
@@ -103,11 +103,14 @@ class PosFormula:
     @property
     def table(self) -> int:
         if self._table is None:
+            _bounded_size(self.universe)
             self._table = _clauses_table(len(self.universe), self.clauses)
         return self._table
 
     @property
     def models(self) -> tuple[int, ...]:
+        if self.clauses is not None:
+            return tuple(_closed_sets(self.clauses, len(self.universe)))
         return _models(self.table)
 
     def is_truth(self) -> bool:
@@ -118,10 +121,14 @@ class PosFormula:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PosFormula):
             return NotImplemented
-        return self.universe == other.universe and self.table == other.table
+        if self.universe != other.universe:
+            return False
+        if self.clauses is not None and other.clauses is not None:
+            return _entails(self.clauses, other.clauses) and _entails(other.clauses, self.clauses)
+        return self.table == other.table
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.table))
+        return hash((self.universe, entailed_ground(self)))
 
     def __repr__(self) -> str:
         if self.clauses is not None:
@@ -142,6 +149,29 @@ def least_model(clauses: Sequence[Clause]) -> int:
                 ground |= head
                 changed = True
     return ground
+
+
+def _entails(clauses: tuple[Clause, ...], others: Iterable[Clause]) -> bool:
+    """Every clause of ``others`` follows from ``clauses``: forward chaining
+    from its body reaches its head."""
+    return all(not head & ~least_model(clauses + ((0, body),)) for body, head in others)
+
+
+def _closed_sets(clauses: tuple[Clause, ...], n: int) -> Iterator[int]:
+    """The models of definite clauses over ``n`` variables, lowest first, by
+    Ganter's NextClosure. The model after ``m`` keeps ``m``'s bits above the
+    lowest clear bit ``i`` whose addition, closed by forward chaining, sets
+    no further bit above ``i``, and adds the closure."""
+    m = least_model(clauses)
+    while True:
+        yield m
+        for i in bit_positions(~m & ((1 << n) - 1)):
+            closed = least_model(clauses + ((0, m >> i + 1 << i + 1 | 1 << i),))
+            if closed >> i + 1 == m >> i + 1:
+                m = closed
+                break
+        else:
+            return
 
 
 def complements_satisfying(clauses: Iterable[Clause], groups: Iterable[int]) -> list[int]:

@@ -182,6 +182,28 @@ def test_term_nested_at_the_bound_runs(problem_file, capsys):
     assert out.endswith("counterexamples: 0\n")
 
 
+def test_wide_oracle_with_few_leaves_runs(problem_file, capsys):
+    # 40 variables: 33 bound to a constant, two to terms over four free
+    # leaves, and one more free leaf; the groundness is a clause form
+    names = [f"x{i}" for i in range(1, 41)]
+    base = [f"x{i} = a()" for i in range(1, 34)] + ["x34 = f(x36, x37)", "x35 = g(x38, x39, x39)"]
+    text = "".join(f"# e0 {eq}\n" for eq in base) + (
+        "vars " + " ".join(names) + "\n"
+        "sharing {x40} {x34,x36} {x34,x37} {x35,x38} {x35,x39}\n"
+        "free x36 x37 x38 x39 x40\n"
+        "lin " + " ".join(n for n in names if n != "x35") + "\n"
+        "eq x34 = x35\neq x40 = h(x36, x1)\n"
+    )
+    code, out, err = run(["oracle", "--replay", problem_file(text)], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.endswith("counterexamples: 0\n")
+    # a trial whose solved form has 28 free leaves
+    code, out, _ = run(["oracle", "--max-vars", "30", "--trials", "3", "--seed", "2"], capsys)
+    assert code == 0
+    assert out.endswith("counterexamples: 0\n")
+
+
 def test_over_bound_universe_analyzes_without_pruning(problem_file, capsys):
     code, out, _ = run(["analyze", problem_file(WIDE24), "--no-early-prune"], capsys)
     assert code == 0

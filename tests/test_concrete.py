@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharelin.concrete import (
     RationalSolvedForm,
@@ -16,7 +18,13 @@ from sharelin.concrete import (
     unify,
 )
 from sharelin.fuzz import FuzzLimits, generate_instance
-from sharelin.groundness import parse_formula, truth
+from sharelin.groundness import (
+    MAX_FORMULA_VARS,
+    PosFormula,
+    UniverseTooLargeError,
+    parse_formula,
+    truth,
+)
 from sharelin.sharing import SharingTriple
 from sharelin.terms import Compound, Equation, Variable, VariableUniverse
 
@@ -136,6 +144,54 @@ class TestGroundnessAbstraction:
     def test_printed_solved_form(self):
         expected = parse_formula("(w <-> z) & (x <-> z) & (y <-> z)", WXYZ)
         assert groundness_abstraction(THETA, WXYZ) == expected
+
+
+# The model enumeration that groundness_abstraction replaced, verbatim.
+def enumerated_groundness_abstraction(
+    rsf: RationalSolvedForm, universe: VariableUniverse
+) -> PosFormula:
+    """Groundness dependencies of the solved form over the universe.
+
+    A bound variable is ground exactly when all its reachable free leaves
+    are; the models are generated by ranging over leaf assignments, which
+    also eliminates any leaf outside the universe.
+    """
+    reach = {x: reachable_vars(rsf, x) for x in universe}
+    leaves = sorted(frozenset().union(*reach.values()) if reach else (), key=lambda v: v.name)
+    if len(leaves) > MAX_FORMULA_VARS:
+        raise UniverseTooLargeError(
+            f"enumerating groundness models over {len(leaves)} free leaves"
+        )
+    models: set[int] = set()
+    for choice in range(1 << len(leaves)):
+        true_leaves = {leaf for i, leaf in enumerate(leaves) if choice >> i & 1}
+        mask = 0
+        for x in universe:
+            if rsf.binding(x) is None:
+                value = x in true_leaves
+            else:
+                value = reach[x] <= true_leaves
+            if value:
+                mask |= universe.bit(x)
+        models.add(mask)
+    return PosFormula.of_models(universe, models)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 12), st.integers(0, 4))
+def test_clause_groundness_matches_enumeration(seed, max_vars, max_depth):
+    instance = generate_instance(random.Random(seed), FuzzLimits(max_vars=max_vars, max_depth=max_depth))
+    rsf = unify(instance.base).solved_form
+    formula = groundness_abstraction(rsf, instance.universe)
+    assert formula.clauses is not None
+    expected = enumerated_groundness_abstraction(rsf, instance.universe)
+    assert formula == expected
+    assert formula.models == expected.models
+
+
+def test_groundness_abstraction_rejects_a_leaf_outside_the_universe():
+    with pytest.raises(ValueError, match="'y' is not in the universe"):
+        groundness_abstraction(RationalSolvedForm.of({x: f(y)}), VariableUniverse.of_names(["x"]))
 
 
 class TestFreeness:

@@ -359,6 +359,25 @@ def test_universe_size_guard():
     big = VariableUniverse.of_names(f"v{i}" for i in range(21))
     with pytest.raises(UniverseTooLargeError):
         truth(big)
+    with pytest.raises(UniverseTooLargeError):
+        PosFormula.of_models(big, [big.full_mask])
+    with pytest.raises(UniverseTooLargeError):
+        PosFormula(big, clauses=((1, 2),)).table
+
+
+def test_wide_clause_forms_need_no_table():
+    # 40 variables: v0..v36 ground, v37 <-> v38 & v39
+    wide = VariableUniverse.of_names(f"v{i}" for i in range(40))
+    ground, top, pair = (1 << 37) - 1, 1 << 37, 3 << 38
+    f = PosFormula(wide, clauses=((0, ground), (pair, top), (top, pair)))
+    # the same function written with redundant and split clauses
+    g = PosFormula(wide, clauses=((0, 1), (1, ground), (pair, top), (top, 1 << 38), (top, 1 << 39)))
+    weaker = PosFormula(wide, clauses=((0, ground), (pair, top)))
+    assert f == g and hash(f) == hash(g)
+    assert f != weaker and not f.is_truth()
+    assert f.models == tuple(ground | m for m in (0, 1 << 38, 1 << 39, top | pair))
+    assert entailed_ground(conjoin(f, PosFormula(wide, clauses=((0, 1 << 38),)))) == ground | 1 << 38
+    assert trim(f, (0, 1, top, pair, top | pair)) == (0, top | pair)
 
 
 def test_formula_survives_problem_round_trip():
@@ -412,6 +431,8 @@ def test_table_operations_match_model_set_copies(data):
     conjoined = conjoin(f, g)
     assert model_set_eq(conjoined, model_set_conjoin(f, g))
     for h in (f, g, conjoined):
+        # a clause form lists its models closed set by closed set
+        assert h.models == _models(h.table)
         assert entailed_ground(h) == model_set_entailed_ground(h)
         assert trim(h, groups) == model_set_trim(h, groups)
     assert (f == g) == model_set_eq(f, g)
