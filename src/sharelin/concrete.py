@@ -3,8 +3,9 @@ decide whether an abstract state soundly describes a solved form.
 
 Solved forms are binding graphs that may be cyclic (``x = f(x, y)`` binds
 ``x`` to a rational tree). The infinite unfolding is never built: variable
-occurrence, freeness and multiplicity are all answered by reachability and
-walk counting over the graph, which is what makes the oracle executable.
+occurrence, groundness and multiplicity are all read off one least fixpoint
+of walk counts over the graph, saturating at two, which is what makes the
+oracle executable.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .groundness import PosFormula
 from .sharing import SharingTriple
-from .terms import Compound, Equation, Term, Variable, VariableUniverse, term_vars, variable_counts
+from .terms import Compound, Equation, Term, Variable, VariableUniverse, bit_positions, variable_counts
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,6 @@ class RationalSolvedForm:
 
     def binding(self, v: Variable) -> Term | None:
         return self._map.get(v)
-
-    @property
-    def domain(self) -> frozenset[Variable]:
-        return frozenset(self._map)
 
 
 @dataclass(frozen=True)
@@ -189,29 +186,68 @@ def unify(equations: Iterable[Equation]) -> UnifyOutcome:
     return UnifyOutcome(RationalSolvedForm.of(bindings))
 
 
+def _leaf_masks(
+    rsf: RationalSolvedForm, first: Iterable[Variable]
+) -> tuple[tuple[Variable, ...], list[int], list[int]]:
+    """The free leaves that the unfolded binding of each variable holds at
+    least once and at least twice, as masks over ``first`` followed by the
+    solved form's other variables; that order is returned first.
+
+    The least fixpoint of a walk count that saturates at 2: an unbound
+    variable holds itself, and a bound one holds what its children hold. It
+    holds a leaf twice when some child holds it twice, when a child that
+    holds it occurs twice, or when two distinct children hold it, so a leaf
+    reached through a cycle is held twice.
+    """
+    index: dict[Variable, int] = {}
+    for v in first:
+        index.setdefault(v, len(index))
+    edges = []
+    for v, t in rsf.bindings:
+        i = index.setdefault(v, len(index))
+        edges.append(
+            (i, [(index.setdefault(w, len(index)), c > 1) for w, c in variable_counts(t).items()])
+        )
+    once = [1 << i for i in range(len(index))]
+    twice = [0] * len(index)
+    for i, _ in edges:
+        once[i] = 0
+    changed = True
+    while changed:
+        changed = False
+        for i, children in edges:
+            one = two = 0
+            for j, repeated in children:
+                two |= twice[j] | one & once[j] | (once[j] if repeated else 0)
+                one |= once[j]
+            if one != once[i] or two != twice[i]:
+                once[i], twice[i] = one, two
+                changed = True
+    return tuple(index), once, twice
+
+
+def _groups(once: list[int]) -> tuple[int, ...]:
+    """One occurrence group per leaf that the leaf masks of the universe's
+    variables hold, plus the empty group, sorted."""
+    by_leaf: dict[int, int] = {}
+    for i, held in enumerate(once):
+        for j in bit_positions(held):
+            by_leaf[j] = by_leaf.get(j, 0) | 1 << i
+    return tuple(sorted({0, *by_leaf.values()}))
+
+
 def reachable_vars(rsf: RationalSolvedForm, v: Variable) -> frozenset[Variable]:
-    """Free variables of the unfolded binding of ``v`` (graph reachability)."""
-    out: set[Variable] = set()
-    seen: set[Variable] = set()
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        t = rsf.binding(u)
-        if t is None:
-            out.add(u)
-        else:
-            stack.extend(term_vars(t))
-    return frozenset(out)
+    """Free variables of the unfolded binding of ``v``."""
+    order, once, _ = _leaf_masks(rsf, (v,))
+    return frozenset(order[j] for j in bit_positions(once[0]))
 
 
 def occurrence_set(
     rsf: RationalSolvedForm, leaf: Variable, universe: VariableUniverse
 ) -> frozenset[Variable]:
     """The universe variables whose unfolded bindings contain ``leaf``."""
-    return frozenset(u for u in universe if leaf in reachable_vars(rsf, u))
+    order, once, _ = _leaf_masks(rsf, (leaf, *universe))
+    return frozenset(u for u, held in zip(order, once) if held & 1 and u in universe)
 
 
 def sharing_abstraction(
@@ -219,11 +255,8 @@ def sharing_abstraction(
 ) -> tuple[int, ...]:
     """All occurrence groups of the solved form, as masks; the empty group is
     always present (witnessed by any variable the universe never reaches)."""
-    reach = {x: reachable_vars(rsf, x) for x in universe}
-    groups = {0}
-    for leaf in frozenset().union(*reach.values()) if reach else ():
-        groups.add(universe.mask_of(x for x in universe if leaf in reach[x]))
-    return tuple(sorted(groups))
+    _, once, _ = _leaf_masks(rsf, universe)
+    return _groups(once[: len(universe)])
 
 
 def groundness_abstraction(
@@ -237,8 +270,12 @@ def groundness_abstraction(
     clause form holds at any universe size. Every leaf must lie in the
     universe, as it does for a system over the universe's variables.
     """
-    reach = [universe.mask_of(reachable_vars(rsf, x)) for x in universe]
-    defs = [(leaves, 1 << i) for i, leaves in enumerate(reach) if leaves != 1 << i]
+    n = len(universe)
+    order, once, _ = _leaf_masks(rsf, universe)
+    for held in once[:n]:
+        if held >> n:  # a leaf outside the universe: raise as the universe does
+            universe.mask_of(order[j] for j in bit_positions(held))
+    defs = [(held, 1 << i) for i, held in enumerate(once[:n]) if held != 1 << i]
     return PosFormula(universe, clauses=(*defs, *((x, leaves) for leaves, x in defs)))
 
 
@@ -255,86 +292,12 @@ def is_free(rsf: RationalSolvedForm, v: Variable) -> bool:
         return False
 
 
-def _out_edges(rsf: RationalSolvedForm) -> dict[Variable, list[tuple[Variable, int]]]:
-    return {
-        v: [(w, min(2, c)) for w, c in variable_counts(t).items()] for v, t in rsf.bindings
-    }
-
-
 def binding_multiplicity(rsf: RationalSolvedForm, v: Variable) -> int:
     """Multiplicity of the unfolded binding of ``v``: 0 ground, 1 linear,
-    2 when some free leaf occurs at least twice.
-
-    Edge weights count occurrences inside a single binding; a free leaf
-    seen through a cycle occurs unboundedly often in the unfolding, hence
-    yields 2. Counts saturate at 2 throughout.
-    """
-    return _multiplicity(rsf, _out_edges(rsf), v)
-
-
-def _multiplicity(
-    rsf: RationalSolvedForm, edges: dict[Variable, list[tuple[Variable, int]]], v: Variable
-) -> int:
-    reach: set[Variable] = set()
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        if u in reach:
-            continue
-        reach.add(u)
-        stack.extend(w for w, _ in edges.get(u, ()))
-
-    leaves = {u for u in reach if rsf.binding(u) is None}
-    if not leaves:
-        return 0
-
-    # restrict to vertices that still lead to a free leaf
-    inverse: dict[Variable, list[Variable]] = {}
-    for u in reach:
-        for w, _ in edges.get(u, ()):
-            if w in reach:
-                inverse.setdefault(w, []).append(u)
-    live: set[Variable] = set()
-    stack = list(leaves)
-    while stack:
-        u = stack.pop()
-        if u in live:
-            continue
-        live.add(u)
-        stack.extend(inverse.get(u, ()))
-
-    for u in live:
-        seen: set[Variable] = set()
-        stack = [w for w, _ in edges.get(u, ()) if w in live]
-        while stack:
-            w = stack.pop()
-            if w == u:
-                return 2
-            if w in seen:
-                continue
-            seen.add(w)
-            stack.extend(x for x, _ in edges.get(w, ()) if x in live)
-
-    # acyclic from here: count walks to each leaf with saturation
-    indeg = {u: 0 for u in live}
-    for u in live:
-        for w, _ in edges.get(u, ()):
-            if w in live:
-                indeg[w] += 1
-    order: list[Variable] = [u for u in live if indeg[u] == 0]
-    queue = deque(order)
-    ways = {u: 0 for u in live}
-    ways[v] = 1
-    while queue:
-        u = queue.popleft()
-        for w, c in edges.get(u, ()):
-            if w not in live:
-                continue
-            ways[w] = min(2, ways[w] + ways[u] * c)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return max(ways[leaf] for leaf in leaves)
+    2 when some free leaf occurs at least twice, as any leaf seen through a
+    cycle does."""
+    _, once, twice = _leaf_masks(rsf, (v,))
+    return 2 if twice[0] else 1 if once[0] else 0
 
 
 @dataclass(frozen=True)
@@ -361,15 +324,15 @@ class SolvedFormMasks:
 
 def solved_form_masks(rsf: RationalSolvedForm, universe: VariableUniverse) -> SolvedFormMasks:
     """Abstract the solved form once, for any number of :meth:`described_by`
-    checks; the binding graph's edges are built once for all variables."""
-    edges = _out_edges(rsf)
+    checks; one leaf-mask fixpoint serves every variable."""
+    _, once, twice = _leaf_masks(rsf, universe)
     free = linear = 0
     for i, v in enumerate(universe.variables):
         if is_free(rsf, v):
             free |= 1 << i
-        if _multiplicity(rsf, edges, v) <= 1:
+        if not twice[i]:
             linear |= 1 << i
-    return SolvedFormMasks(sharing_abstraction(rsf, universe), free, linear)
+    return SolvedFormMasks(_groups(once[: len(universe)]), free, linear)
 
 
 def describes(triple: SharingTriple, equations: Iterable[Equation]) -> bool:

@@ -28,7 +28,7 @@ from .amgu import (
 )
 from .concrete import groundness_abstraction, solved_form_masks, unify
 from .groundness import trim
-from .problem_io import format_term, parse_equation, parse_problem, print_problem
+from .problem_io import SemanticError, format_term, parse_equation, parse_problem, print_problem
 from .sharing import (
     SharingTriple,
     abstract_multiplicity,
@@ -369,6 +369,8 @@ def replay(text: str, limits: FuzzLimits = FuzzLimits()) -> list:
     recorded state and formula are cross-checked against it first.
     """
     problem = parse_problem(text)
+    if not problem.equations:  # the single-step checks read the first equation
+        raise SemanticError("a replayed file needs at least one 'eq' line", 1, 1)
     base: list[Equation] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip().startswith("# e0"):

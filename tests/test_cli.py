@@ -149,11 +149,14 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
          ["--replay"], "semantic error: line 1, column 522: term nested deeper than 256"),
         ("oracle", None, ["--max-depth", "256"],
          "argument --max-depth: expected at most 255, not '256'"),
+        ("oracle", "vars x\nsharing {x}\n", ["--replay"],
+         "semantic error: line 1, column 1: a replayed file needs at least one 'eq' line"),
     ],
     ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero",
          "oracle-max-vars-zero", "oracle-max-eqs-zero", "oracle-file-bound-zero",
          "oracle-file-bound-negative", "oracle-trials-negative", "oracle-max-depth-negative",
-         "eq-nested-past-bound", "replay-e0-nested-past-bound", "oracle-max-depth-past-bound"],
+         "eq-nested-past-bound", "replay-e0-nested-past-bound", "oracle-max-depth-past-bound",
+         "replay-no-eq"],
 )
 def test_parseable_input_never_tracebacks(problem_file, capsys, command, text, flags, expected):
     # the file goes last, after --replay for oracle; other oracle calls take none
@@ -602,3 +605,71 @@ def test_pos_lines_parse_or_exit_cleanly(problem_file, capsys, data):
     if positive and models is not None:
         formula = parse_problem(text).formula
         assert (tuple(range(1 << n)) if formula is None else formula.models) == tuple(models)
+
+
+@st.composite
+def _problem_texts(draw):
+    """Problem files from the grammar of the vars, sharing, free, lin, eq and
+    ``# e0`` lines, at and past its bounds: 64 and 65 variables, terms nested
+    256 and 257 deep, terms with hundreds of arguments, an undeclared name,
+    sections shuffled or repeated, a stray ``#``, and LF or CRLF line ends.
+    Terms and groups take their names from at most five declared ones (and
+    the undeclared ``q``), which keeps every closure small."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 64, 65]), label="n")
+    names = [f"v{i}" for i in range(n)]
+    pool = draw(st.lists(st.sampled_from(names), min_size=1, max_size=5, unique=True))
+    if draw(st.integers(0, 7)) == 0:
+        pool.append("q")
+    name = st.sampled_from(pool)
+    term = st.recursive(
+        name | st.just("a()"),
+        lambda sub: st.builds(
+            lambda functor, args: f"{functor}({', '.join(args)})",
+            st.sampled_from("fg"), st.lists(sub, min_size=1, max_size=3),
+        ),
+        max_leaves=4,
+    )
+
+    def side():
+        shape = draw(st.sampled_from(["term"] * 4 + ["nested", "wide"]))
+        if shape == "nested":
+            return nested(draw(st.sampled_from([256, 257])), draw(name))
+        if shape == "wide":
+            width = draw(st.sampled_from([100, 1000]))
+            return "h(" + ", ".join(pool[i % len(pool)] for i in range(width)) + ")"
+        return draw(term)
+
+    def names_line(keyword):
+        return f"{keyword} " + " ".join(draw(st.lists(name, max_size=3, unique=True)))
+
+    groups = draw(st.lists(st.lists(name, max_size=3, unique=True), max_size=4))
+    lines = [f"# e0 {side()} = {side()}" for _ in range(draw(st.integers(0, 2)))]
+    lines += ["vars " + " ".join(names), "sharing " + " ".join("{%s}" % ",".join(g) for g in groups)]
+    lines += [names_line(k) for k in ("free", "lin") if draw(st.booleans())]
+    lines += [f"eq {side()} = {side()}" for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.integers(0, 7)) == 0:
+        lines = draw(st.permutations(lines))
+    if draw(st.integers(0, 7)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    if draw(st.integers(0, 7)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        cut = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:cut] + "#" + lines[i][cut:]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_problem_texts())
+def test_generated_files_exit_cleanly(problem_file, capsys, text):
+    path = problem_file(text)
+    for argv in (["analyze", path], ["compare", path], ["oracle", "--replay", path]):
+        code, out, err = run(argv, capsys)
+        assert "Traceback" not in err
+        assert code in ((0, 1, 2, 3) if argv[0] == "oracle" else (0, 1, 2))
+        if code in (1, 2):
+            assert out == ""
+            assert len(err.splitlines()) == 1
+        if argv[0] == "analyze" and code == 0:
+            assert parse_problem(out).universe == parse_problem(text).universe

@@ -1,6 +1,7 @@
 """The concrete oracle: unification, reachability, abstraction queries."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from sharelin.concrete import (
     occurrence_set,
     reachable_vars,
     sharing_abstraction,
+    solved_form_masks,
     unify,
 )
 from sharelin.fuzz import FuzzLimits, generate_instance
@@ -26,7 +28,7 @@ from sharelin.groundness import (
     truth,
 )
 from sharelin.sharing import SharingTriple
-from sharelin.terms import Compound, Equation, Variable, VariableUniverse
+from sharelin.terms import Compound, Equation, Variable, VariableUniverse, term_vars, variable_counts
 
 w, x, y, z = (Variable(n) for n in "wxyz")
 WXYZ = VariableUniverse.of_names(["w", "x", "y", "z"])
@@ -146,6 +148,157 @@ class TestGroundnessAbstraction:
         assert groundness_abstraction(THETA, WXYZ) == expected
 
 
+# The graph walks that the leaf-mask fixpoint replaced, verbatim but for
+# their names: a reachability DFS per variable, and the five-pass walk count.
+def walked_reachable_vars(rsf: RationalSolvedForm, v: Variable) -> frozenset[Variable]:
+    """Free variables of the unfolded binding of ``v`` (graph reachability)."""
+    out: set[Variable] = set()
+    seen: set[Variable] = set()
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        t = rsf.binding(u)
+        if t is None:
+            out.add(u)
+        else:
+            stack.extend(term_vars(t))
+    return frozenset(out)
+
+
+def walked_sharing_abstraction(
+    rsf: RationalSolvedForm, universe: VariableUniverse
+) -> tuple[int, ...]:
+    """All occurrence groups of the solved form, as masks; the empty group is
+    always present (witnessed by any variable the universe never reaches)."""
+    reach = {x: walked_reachable_vars(rsf, x) for x in universe}
+    groups = {0}
+    for leaf in frozenset().union(*reach.values()) if reach else ():
+        groups.add(universe.mask_of(x for x in universe if leaf in reach[x]))
+    return tuple(sorted(groups))
+
+
+def walked_out_edges(rsf: RationalSolvedForm) -> dict[Variable, list[tuple[Variable, int]]]:
+    return {
+        v: [(w, min(2, c)) for w, c in variable_counts(t).items()] for v, t in rsf.bindings
+    }
+
+
+def walked_multiplicity(
+    rsf: RationalSolvedForm, edges: dict[Variable, list[tuple[Variable, int]]], v: Variable
+) -> int:
+    reach: set[Variable] = set()
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        if u in reach:
+            continue
+        reach.add(u)
+        stack.extend(w for w, _ in edges.get(u, ()))
+
+    leaves = {u for u in reach if rsf.binding(u) is None}
+    if not leaves:
+        return 0
+
+    # restrict to vertices that still lead to a free leaf
+    inverse: dict[Variable, list[Variable]] = {}
+    for u in reach:
+        for w, _ in edges.get(u, ()):
+            if w in reach:
+                inverse.setdefault(w, []).append(u)
+    live: set[Variable] = set()
+    stack = list(leaves)
+    while stack:
+        u = stack.pop()
+        if u in live:
+            continue
+        live.add(u)
+        stack.extend(inverse.get(u, ()))
+
+    for u in live:
+        seen: set[Variable] = set()
+        stack = [w for w, _ in edges.get(u, ()) if w in live]
+        while stack:
+            w = stack.pop()
+            if w == u:
+                return 2
+            if w in seen:
+                continue
+            seen.add(w)
+            stack.extend(x for x, _ in edges.get(w, ()) if x in live)
+
+    # acyclic from here: count walks to each leaf with saturation
+    indeg = {u: 0 for u in live}
+    for u in live:
+        for w, _ in edges.get(u, ()):
+            if w in live:
+                indeg[w] += 1
+    order: list[Variable] = [u for u in live if indeg[u] == 0]
+    queue = deque(order)
+    ways = {u: 0 for u in live}
+    ways[v] = 1
+    while queue:
+        u = queue.popleft()
+        for w, c in edges.get(u, ()):
+            if w not in live:
+                continue
+            ways[w] = min(2, ways[w] + ways[u] * c)
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return max(ways[leaf] for leaf in leaves)
+
+
+def _walked_groundness_clauses(rsf, universe):
+    """The clauses the walks gave, or ``None`` for a leaf outside the universe."""
+    try:
+        reach = [universe.mask_of(walked_reachable_vars(rsf, x)) for x in universe]
+    except ValueError:
+        return None
+    defs = [(leaves, 1 << i) for i, leaves in enumerate(reach) if leaves != 1 << i]
+    return (*defs, *((x, leaves) for leaves, x in defs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 14), st.integers(0, 4), st.data())
+def test_leaf_masks_match_graph_walks(seed, max_vars, max_depth, data):
+    # the base system and the whole system of a generated instance, over its
+    # universe and over a prefix of it, which leaves some leaves outside
+    limits = FuzzLimits(max_vars=max_vars, max_depth=max_depth, max_eqs=4)
+    instance = generate_instance(random.Random(seed), limits)
+    variables = instance.universe.variables
+    k = data.draw(st.integers(1, len(variables)), label="prefix")
+    for system in (instance.base, instance.base + instance.equations):
+        rsf = unify(system).solved_form
+        if rsf is None:
+            continue
+        edges = walked_out_edges(rsf)
+        for v in variables:
+            assert reachable_vars(rsf, v) == walked_reachable_vars(rsf, v)
+            assert binding_multiplicity(rsf, v) == walked_multiplicity(rsf, edges, v)
+        for universe in (instance.universe, VariableUniverse(variables[:k])):
+            groups = walked_sharing_abstraction(rsf, universe)
+            assert sharing_abstraction(rsf, universe) == groups
+            masks = solved_form_masks(rsf, universe)
+            assert masks.groups == groups
+            assert masks.free == universe.mask_of(v for v in universe if is_free(rsf, v))
+            assert masks.linear == universe.mask_of(
+                v for v in universe if walked_multiplicity(rsf, edges, v) <= 1
+            )
+            for leaf in variables:
+                assert occurrence_set(rsf, leaf, universe) == frozenset(
+                    u for u in universe if leaf in walked_reachable_vars(rsf, u)
+                )
+            expected = _walked_groundness_clauses(rsf, universe)
+            if expected is None:
+                with pytest.raises(ValueError, match="is not in the universe"):
+                    groundness_abstraction(rsf, universe)
+            else:
+                assert groundness_abstraction(rsf, universe).clauses == expected
+
+
 # The model enumeration that groundness_abstraction replaced, verbatim.
 def enumerated_groundness_abstraction(
     rsf: RationalSolvedForm, universe: VariableUniverse
@@ -156,7 +309,7 @@ def enumerated_groundness_abstraction(
     are; the models are generated by ranging over leaf assignments, which
     also eliminates any leaf outside the universe.
     """
-    reach = {x: reachable_vars(rsf, x) for x in universe}
+    reach = {x: walked_reachable_vars(rsf, x) for x in universe}
     leaves = sorted(frozenset().union(*reach.values()) if reach else (), key=lambda v: v.name)
     if len(leaves) > MAX_FORMULA_VARS:
         raise UniverseTooLargeError(
