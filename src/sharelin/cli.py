@@ -187,6 +187,8 @@ _non_negative_int = _int_at_least(0, "non-negative")
 # a generated term of depth d may end in a constant ``a()``, one argument
 # list deeper, and must still parse back from a counterexample file
 _term_depth = _int_at_least(0, "non-negative", high=MAX_TERM_DEPTH - 1)
+# a universe holds at most 64 variables
+_universe_size = _int_at_least(1, "positive", high=64)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="randomised soundness checking")
     p_oracle.add_argument("--seed", type=int, default=42)
     p_oracle.add_argument("--trials", type=_non_negative_int, default=200)
-    p_oracle.add_argument("--max-vars", type=_positive_int, default=4)
+    p_oracle.add_argument("--max-vars", type=_universe_size, default=4)
     p_oracle.add_argument("--max-depth", type=_term_depth, default=3)
     p_oracle.add_argument("--max-eqs", type=_positive_int, default=3)
     p_oracle.add_argument("--file-bound", type=_positive_int, default=8, metavar="N",

@@ -259,26 +259,6 @@ def sharing_abstraction(
     return _groups(once[: len(universe)])
 
 
-def groundness_abstraction(
-    rsf: RationalSolvedForm, universe: VariableUniverse
-) -> PosFormula:
-    """Groundness dependencies of the solved form over the universe.
-
-    A variable is ground exactly when all its reachable free leaves are (an
-    unbound variable is its own leaf): for each bound ``x`` the two definite
-    clauses of ``x <-> /\\ leaves(x)``. No assignment is enumerated, so the
-    clause form holds at any universe size. Every leaf must lie in the
-    universe, as it does for a system over the universe's variables.
-    """
-    n = len(universe)
-    order, once, _ = _leaf_masks(rsf, universe)
-    for held in once[:n]:
-        if held >> n:  # a leaf outside the universe: raise as the universe does
-            universe.mask_of(order[j] for j in bit_positions(held))
-    defs = [(held, 1 << i) for i, held in enumerate(once[:n]) if held != 1 << i]
-    return PosFormula(universe, clauses=(*defs, *((x, leaves) for leaves, x in defs)))
-
-
 def is_free(rsf: RationalSolvedForm, v: Variable) -> bool:
     """True when ``v`` chases through variable bindings to an unbound variable."""
     cur = v
@@ -302,14 +282,18 @@ def binding_multiplicity(rsf: RationalSolvedForm, v: Variable) -> int:
 
 @dataclass(frozen=True)
 class SolvedFormMasks:
-    """The exact sharing, freeness and linearity of a solved form over a
-    universe: its occurrence groups (sorted, with the empty group), the
-    mask of its free variables and the mask of those whose binding has
-    multiplicity at most one."""
+    """The exact sharing, freeness, linearity and groundness of a solved
+    form over a universe: its occurrence groups (sorted, with the empty
+    group), the mask of its free variables, the mask of those whose binding
+    has multiplicity at most one, and its groundness dependencies. These
+    are the definite clauses of ``x <-> /\\ leaves(x)`` for each bound ``x``
+    (an unbound variable is its own leaf), or ``None`` when a universe
+    variable's binding holds a leaf outside the universe."""
 
     groups: tuple[int, ...]
     free: int
     linear: int
+    groundness: PosFormula | None
 
     def described_by(self, triple: SharingTriple) -> bool:
         """True when ``triple`` soundly abstracts the solved form: every
@@ -324,15 +308,35 @@ class SolvedFormMasks:
 
 def solved_form_masks(rsf: RationalSolvedForm, universe: VariableUniverse) -> SolvedFormMasks:
     """Abstract the solved form once, for any number of :meth:`described_by`
-    checks; one leaf-mask fixpoint serves every variable."""
+    checks; one leaf-mask fixpoint serves every variable and the groundness.
+    No assignment is enumerated, so the clause form holds at any universe
+    size."""
+    n = len(universe)
     _, once, twice = _leaf_masks(rsf, universe)
+    held = once[:n]
     free = linear = 0
     for i, v in enumerate(universe.variables):
         if is_free(rsf, v):
             free |= 1 << i
         if not twice[i]:
             linear |= 1 << i
-    return SolvedFormMasks(_groups(once[: len(universe)]), free, linear)
+    groundness = None
+    if not any(leaves >> n for leaves in held):
+        defs = [(leaves, 1 << i) for i, leaves in enumerate(held) if leaves != 1 << i]
+        groundness = PosFormula(universe, clauses=(*defs, *((x, leaves) for leaves, x in defs)))
+    return SolvedFormMasks(_groups(held), free, linear, groundness)
+
+
+def groundness_abstraction(rsf: RationalSolvedForm, universe: VariableUniverse) -> PosFormula:
+    """Groundness dependencies of the solved form over the universe: the
+    :attr:`SolvedFormMasks.groundness` of :func:`solved_form_masks`. Every
+    leaf must lie in the universe, as it does for a system over the
+    universe's variables; otherwise the universe's ``ValueError`` is raised."""
+    groundness = solved_form_masks(rsf, universe).groundness
+    if groundness is None:
+        for v in universe:  # raise as the universe does, naming the leaf
+            universe.mask_of(reachable_vars(rsf, v))
+    return groundness
 
 
 def describes(triple: SharingTriple, equations: Iterable[Equation]) -> bool:

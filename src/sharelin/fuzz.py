@@ -26,7 +26,7 @@ from .amgu import (
     early_prune,
     fold_compiled,
 )
-from .concrete import groundness_abstraction, solved_form_masks, unify
+from .concrete import RationalSolvedForm, SolvedFormMasks, solved_form_masks, unify
 from .groundness import trim
 from .problem_io import SemanticError, format_term, parse_equation, parse_problem, print_problem
 from .sharing import (
@@ -100,8 +100,15 @@ def random_equation(rng: random.Random, variables: tuple[Variable, ...], depth: 
 @dataclass(frozen=True)
 class Instance:
     universe: VariableUniverse
-    base: tuple[Equation, ...]       # satisfiable by construction
+    base: tuple[Equation, ...]       # satisfiable, unless read back by replay
     equations: tuple[Equation, ...]  # at least one
+    # the base's solved form, None when the base does not unify; unified
+    # here when not given
+    solved_form: RationalSolvedForm | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.solved_form is None:
+            object.__setattr__(self, "solved_form", unify(self.base).solved_form)
 
 
 def generate_instance(rng: random.Random, limits: FuzzLimits) -> Instance:
@@ -113,21 +120,25 @@ def generate_instance(rng: random.Random, limits: FuzzLimits) -> Instance:
             random_equation(rng, variables, limits.max_depth)
             for _ in range(rng.randint(0, limits.max_eqs))
         )
-        if not unify(base).success:
+        rsf = unify(base).solved_form
+        if rsf is None:
             continue
         equations = tuple(
             random_equation(rng, variables, limits.max_depth)
             for _ in range(rng.randint(1, limits.max_eqs))
         )
-        return Instance(universe, base, equations)
+        return Instance(universe, base, equations, rsf)
+
+
+def _exact_state(exact: SolvedFormMasks, universe: VariableUniverse) -> SharingTriple:
+    return SharingTriple.make(universe, exact.groups, exact.free, exact.linear)
 
 
 def exact_abstraction(universe: VariableUniverse, equations: tuple[Equation, ...]):
     """The strongest state and formula describing the system's solved form."""
     rsf = unify(equations).solved_form
     exact = solved_form_masks(rsf, universe)
-    triple = SharingTriple.make(universe, exact.groups, exact.free, exact.linear)
-    return rsf, triple, groundness_abstraction(rsf, universe)
+    return rsf, _exact_state(exact, universe), exact.groundness
 
 
 def _counterexample_text(instance: Instance, triple: SharingTriple, formula, equations) -> str:
@@ -157,22 +168,25 @@ def check_instance(
 ) -> list:
     """Run the whole property battery on one instance.
 
-    Each system (base, base plus the first equation, base plus all
-    equations) is unified and abstracted once; every soundness check is
-    then a mask comparison against that exact abstraction.
-    ``report.stats`` records how often the conditional checks actually
-    fired, so a caller can tell a vacuous pass from a real one.
+    Each system (the base, base plus the first equation, base plus all
+    equations, and the latter permuted) is unified once, the base by the
+    instance itself, and abstracted by one :func:`solved_form_masks` call;
+    every soundness check is then a mask comparison against that exact
+    abstraction. ``report.stats`` records how often the conditional checks
+    actually fired, so a caller can tell a vacuous pass from a real one.
     """
     count = report.count if report is not None else (lambda key: None)
     violations: list[Violation] = []
     universe = instance.universe
-    # the base abstraction's triple holds the base solved form's exact masks
-    _, triple0, formula0 = exact_abstraction(universe, instance.base)
-    full_system = instance.base + instance.equations
-    full_rsf = unify(full_system).solved_form
-    if full_rsf is not None:
-        full_exact = solved_form_masks(full_rsf, universe)
-        full_formula = groundness_abstraction(full_rsf, universe)
+
+    def abstract(rsf: RationalSolvedForm | None) -> SolvedFormMasks | None:
+        return None if rsf is None else solved_form_masks(rsf, universe)
+
+    exact0 = abstract(instance.solved_form)
+    triple0, formula0 = _exact_state(exact0, universe), exact0.groundness
+    step, full_system = instance.equations[:1], instance.base + instance.equations
+    step_exact = abstract(unify(instance.base + step).solved_form)
+    full_exact = abstract(unify(full_system).solved_form)
 
     def record(prop: str, detail: str, equations=instance.equations) -> None:
         violations.append(
@@ -180,10 +194,8 @@ def check_instance(
         )
 
     # every occurrence-group complement is a model of the groundness formula
-    for label, groups, formula in (("base", triple0.groups, formula0),) + (
-        (("full", full_exact.groups, full_formula),) if full_rsf is not None else ()
-    ):
-        if len(trim(formula, groups)) != len(groups):
+    for label, exact in (("base", exact0), ("full", full_exact)):
+        if exact is not None and len(trim(exact.groundness, exact.groups)) != len(exact.groups):
             record(
                 "occurrence-complements-are-groundness-models",
                 f"violated for the {label} system",
@@ -192,55 +204,35 @@ def check_instance(
     # solved forms do not depend on equation order; the formulas agree on
     # the ground variables, which tells multiplicity 0 from 1 where the
     # linear masks do not
-    if full_rsf is not None:
+    if full_exact is not None:
         shuffled = list(full_system)
         random.Random(trial).shuffle(shuffled)
-        other = unify(shuffled).solved_form
-        same = (
-            solved_form_masks(other, universe) == full_exact
-            and groundness_abstraction(other, universe) == full_formula
-        )
-        if not same:
+        if abstract(unify(shuffled).solved_form) != full_exact:
             record("unify-order-insensitive", "permuted system abstracts differently")
 
     # single-step checks on the first equation
-    s, t = instance.equations[0].lhs, instance.equations[0].rhs
-    step_rsf = unify(instance.base + (instance.equations[0],)).solved_form
-    step_sat = step_rsf is not None
-    if step_sat:
-        step_exact = solved_form_masks(step_rsf, universe)
+    s, t = step[0].lhs, step[0].rhs
+    step_sat = step_exact is not None
     results = {}
     for name, fn in (("amgu1", amgu1), ("amgu2", amgu2), ("amgu3", amgu3)):
         result = fn(triple0, s, t)
         results[name] = result
         bad = _result_invariants(result)
         if bad:
-            record(f"{name}-invariants", bad, equations=(instance.equations[0],))
+            record(f"{name}-invariants", bad, step)
         if step_sat and not step_exact.described_by(result):
-            record(
-                f"{name}-soundness",
-                "result does not describe the solved form",
-                equations=(instance.equations[0],),
-            )
+            record(f"{name}-soundness", "result does not describe the solved form", step)
         widened = fn(triple0, s, t, trade_efficiency=True)
         if not set(result.groups) <= set(widened.groups):
-            record(
-                f"{name}-trade-widens",
-                "trading efficiency produced a smaller group set",
-                equations=(instance.equations[0],),
-            )
+            record(f"{name}-trade-widens", "trading efficiency produced a smaller group set", step)
         if step_sat and not step_exact.described_by(widened):
-            record(
-                f"{name}-trade-soundness",
-                "traded result does not describe the solved form",
-                equations=(instance.equations[0],),
-            )
+            record(f"{name}-trade-soundness", "traded result does not describe the solved form",
+                   step)
 
     if not set(results["amgu3"].groups) <= set(results["amgu2"].groups) or not set(
         results["amgu2"].groups
     ) <= set(results["amgu1"].groups):
-        record("precision-chain", "amgu3/amgu2/amgu1 group sets are not a chain",
-               equations=(instance.equations[0],))
+        record("precision-chain", "amgu3/amgu2/amgu1 group sets are not a chain", step)
 
     if step_sat:
         count("single-step-satisfiable")
@@ -249,11 +241,9 @@ def check_instance(
         count("decomposed-checked")
         reference = decomposed_reference(triple0, s, t, file_bound=limits.file_bound)
         if not set(reference.groups) <= set(results["amgu2"].groups):
-            record("decomposed-within-amgu2", "reference exceeded the amgu2 group set",
-                   equations=(instance.equations[0],))
+            record("decomposed-within-amgu2", "reference exceeded the amgu2 group set", step)
         if step_sat and not step_exact.described_by(reference):
-            record("decomposed-soundness", "reference does not describe the solved form",
-                   equations=(instance.equations[0],))
+            record("decomposed-soundness", "reference does not describe the solved form", step)
 
     # independence: with variable-disjoint relevant groups and both sides
     # linear, no closure is needed at all
@@ -271,9 +261,8 @@ def check_instance(
             | set(pairwise_union(rel_s, rel_t))
         )
         if list(results["amgu1"].groups) != expected:
-            record("independence-identity",
-                   "independent linear sides should not need closure",
-                   equations=(instance.equations[0],))
+            record("independence-identity", "independent linear sides should not need closure",
+                   step)
 
     # full pipeline: every algorithm, pruning on and off, equation order
     # permuted; one problem per order serves every configuration. Pruning
@@ -294,7 +283,7 @@ def check_instance(
                 bad = _result_invariants(result)
                 if bad:
                     record(tag + "-invariants", bad, equations=problem.equations)
-                if full_rsf is not None:
+                if full_exact is not None:
                     count("analysis-satisfiable")
                     if not full_exact.described_by(result):
                         record(tag, "result does not describe the solved form",
@@ -379,19 +368,20 @@ def replay(text: str, limits: FuzzLimits = FuzzLimits()) -> list:
         start = raw.index("# e0") + len("# e0")
         base.append(parse_equation(" " * start + raw[start:], problem.universe, lineno))
     instance = Instance(problem.universe, tuple(base), problem.equations)
-    if not unify(instance.base).success:
+    if instance.solved_form is None:
         return [
             Violation(0, "replay-base-unsatisfiable", "recorded base system does not unify", text)
         ]
-    _, triple0, formula0 = exact_abstraction(problem.universe, instance.base)
+    exact0 = solved_form_masks(instance.solved_form, problem.universe)
     stale: list[Violation] = []
-    if triple0 != problem.initial:
+    if _exact_state(exact0, problem.universe) != problem.initial:
         stale.append(
             Violation(0, "replay-state-mismatch",
                       "recorded state differs from the base system's abstraction", text)
         )
-    recorded = problem.formula
-    if recorded is not None and recorded != formula0:
+    formula0 = exact0.groundness
+    # a file without a 'pos' line records 'true'
+    if not (formula0.is_truth() if problem.formula is None else problem.formula == formula0):
         stale.append(
             Violation(0, "replay-formula-mismatch",
                       "recorded formula differs from the base system's groundness", text)

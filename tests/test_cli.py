@@ -151,12 +151,14 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
          "argument --max-depth: expected at most 255, not '256'"),
         ("oracle", "vars x\nsharing {x}\n", ["--replay"],
          "semantic error: line 1, column 1: a replayed file needs at least one 'eq' line"),
+        ("oracle", None, ["--max-vars", "1000", "--trials", "3"],
+         "argument --max-vars: expected at most 64, not '1000'"),
     ],
     ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero",
          "oracle-max-vars-zero", "oracle-max-eqs-zero", "oracle-file-bound-zero",
          "oracle-file-bound-negative", "oracle-trials-negative", "oracle-max-depth-negative",
          "eq-nested-past-bound", "replay-e0-nested-past-bound", "oracle-max-depth-past-bound",
-         "replay-no-eq"],
+         "replay-no-eq", "oracle-max-vars-past-bound"],
 )
 def test_parseable_input_never_tracebacks(problem_file, capsys, command, text, flags, expected):
     # the file goes last, after --replay for oracle; other oracle calls take none
@@ -178,7 +180,7 @@ def test_term_nested_at_the_bound_runs(problem_file, capsys):
         assert code == 0
         assert "groups" in out
     # the deepest term --max-depth 255 can generate ends in a constant
-    replay = "# e0 x = " + nested(256) + "\nvars x y\nsharing {x,y}\nfree y\nlin x\n"
+    replay = "# e0 x = " + nested(256) + "\nvars x y\nsharing {x,y}\nfree y\nlin x\npos x <-> y\n"
     replay += "eq y = " + nested(255, "a()") + "\neq x = " + nested(256, "x") + "\n"
     code, out, _ = run(["oracle", "--replay", problem_file(replay)], capsys)
     assert code == 0
@@ -197,10 +199,14 @@ def test_wide_oracle_with_few_leaves_runs(problem_file, capsys):
         "lin " + " ".join(n for n in names if n != "x35") + "\n"
         "eq x34 = x35\neq x40 = h(x36, x1)\n"
     )
+    # no pos line parses over 20 variables, and a file without one records
+    # 'true', which this base's groundness is not; the battery finds nothing
     code, out, err = run(["oracle", "--replay", problem_file(text)], capsys)
-    assert code == 0
+    assert code == 3
     assert "Traceback" not in err
-    assert out.endswith("counterexamples: 0\n")
+    assert out.count("# counterexample ") == 1
+    assert "property=replay-formula-mismatch" in out
+    assert out.endswith("counterexamples: 1\n")
     # a trial whose solved form has 28 free leaves
     code, out, _ = run(["oracle", "--max-vars", "30", "--trials", "3", "--seed", "2"], capsys)
     assert code == 0
@@ -419,7 +425,9 @@ def test_oracle_counterexample_exit_code(problem_file, capsys, monkeypatch):
     assert "counterexamples: 1" in out
 
 
-def test_oracle_replay_round_trip(problem_file, tmp_path, capsys):
+def round_trip_text():
+    """The exact counterexample file of a four-variable instance whose base
+    grounds nothing yet makes ``w`` depend on ``x``, ``y`` and ``z``."""
     from sharelin.fuzz import _counterexample_text, exact_abstraction
     from sharelin.fuzz import Instance
     from sharelin.terms import Compound, Equation, Variable, VariableUniverse
@@ -431,14 +439,35 @@ def test_oracle_replay_round_trip(problem_file, tmp_path, capsys):
         (Equation(w, Compound("f", (z, x, y))),),
     )
     _, triple, formula = exact_abstraction(instance.universe, instance.base)
+    return _counterexample_text(instance, triple, formula, instance.equations)
+
+
+def test_oracle_replay_round_trip(problem_file, tmp_path, capsys):
     path = tmp_path / "counterexample.sl"
-    path.write_text(_counterexample_text(instance, triple, formula, instance.equations))
+    path.write_text(round_trip_text())
     code, out, _ = run(["oracle", "--replay", str(path)], capsys)
     assert code == 0
     assert "counterexamples: 0" in out
     # the same file still parses as a plain analysis input
     code, _, _ = run(["analyze", str(path)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("".join(l for l in round_trip_text().splitlines(True) if not l.startswith("pos ")), 3),
+        ("vars x y\nsharing {y}\nfree y\nlin x y\neq x = y\n# e0 x = a()\n", 3),
+        ("vars x y\nsharing {x} {y}\nfree x y\nlin x y\neq x = y\n", 0),
+    ],
+    ids=["round-trip-without-pos", "ground-base-without-pos", "empty-base-without-pos"],
+)
+def test_oracle_replay_reads_a_missing_pos_line_as_true(problem_file, capsys, text, code):
+    # a file without a pos line records 'true', which only a base that binds
+    # no variable abstracts to
+    got, out, _ = run(["oracle", "--replay", problem_file(text)], capsys)
+    assert got == code
+    assert ("property=replay-formula-mismatch" in out) == (code == 3)
 
 
 # stdout digests, recorded when every describes() check re-ran unify and

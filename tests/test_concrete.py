@@ -293,9 +293,11 @@ def test_leaf_masks_match_graph_walks(seed, max_vars, max_depth, data):
                 )
             expected = _walked_groundness_clauses(rsf, universe)
             if expected is None:
+                assert masks.groundness is None
                 with pytest.raises(ValueError, match="is not in the universe"):
                     groundness_abstraction(rsf, universe)
             else:
+                assert masks.groundness.clauses == expected
                 assert groundness_abstraction(rsf, universe).clauses == expected
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sharelin.amgu as amgu_mod
+import sharelin.concrete as concrete_mod
 import sharelin.fuzz as fuzz_mod
 from sharelin.concrete import (
     binding_multiplicity,
@@ -107,6 +108,37 @@ def test_oracle_prunes_each_instance_once(monkeypatch):
     for instance in instances:
         check_instance(instance, FuzzLimits())
     assert len(calls) == len(instances)
+
+
+def test_oracle_unifies_each_system_once(monkeypatch):
+    rng = random.Random(5)
+    instances = [generate_instance(rng, FuzzLimits()) for _ in range(20)]
+    # the base comes unified with the instance; the step and full systems
+    # are unified by check_instance, and the shuffled one when the full one
+    # unifies
+    step_sat = [unify(i.base + i.equations[:1]).success for i in instances]
+    full_sat = [unify(i.base + i.equations).success for i in instances]
+    calls = {"unify": 0, "_leaf_masks": 0}
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    # count the calls made through either module's name
+    counted_unify = counting("unify", concrete_mod.unify)
+    monkeypatch.setattr(fuzz_mod, "unify", counted_unify)
+    monkeypatch.setattr(concrete_mod, "unify", counted_unify)
+    leaf_masks = counting("_leaf_masks", concrete_mod._leaf_masks)
+    monkeypatch.setattr(concrete_mod, "_leaf_masks", leaf_masks)
+    for instance in instances:
+        check_instance(instance, FuzzLimits())
+    assert calls["unify"] == sum(2 + full for full in full_sat)
+    # one fixpoint per satisfiable system: the base, the step, the full and
+    # the shuffled one
+    assert calls["_leaf_masks"] == sum(1 + s + 2 * f for s, f in zip(step_sat, full_sat))
 
 
 def per_variable_describes(triple, equations):

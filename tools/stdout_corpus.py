@@ -16,11 +16,16 @@ stdout or exit code changed. The corpus:
 * ``oracle --trials 5`` at seeds 1-150, at default limits and with
   ``--max-vars 6 --max-eqs 4``;
 * ``oracle --trials 10 --max-eqs 4`` at seeds 0-59 with ``--max-vars``
-  4, 8, 12 and 20.
+  4, 8, 12 and 20;
+* for each of the 5 trials of ``oracle`` at seeds 1-50, the exact
+  round-trip file of its instance (one ``text`` line each), replayed with
+  ``oracle --replay`` once as written and once with its ``pos`` line
+  removed.
 
-That is 224 texts and 3452 calls. Problem files go to a temporary
-directory, and a printed argv names a file by its seed and base name. The
-corpus takes about 45 s on a 2-vCPU x86 host.
+That is 474 texts and 3952 calls. Problem files go to a temporary
+directory, and a printed argv names a file by its seed and base name, or
+by its oracle seed and trial. The corpus takes about 40 s on a 2-vCPU x86
+host.
 """
 
 from __future__ import annotations
@@ -29,12 +34,15 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 
 SEEDS = (1, 2)
 ORACLE_SEEDS = range(1, 151)
 WIDE_ORACLE_SEEDS = range(60)
+REPLAY_SEEDS = range(1, 51)
+REPLAY_TRIALS = 5
 VARIANTS = (
     *(("analyze", "--algo", algo) for algo in ("1", "2", "3", "file")),
     ("compare",),
@@ -60,6 +68,40 @@ def call(cli, argv, workdir: str) -> str:
     return f"{code} {digest(out.getvalue())} {' '.join(shown)}"
 
 
+def round_trip_text(instance) -> str:
+    """The exact abstraction of the instance's base as a problem over its
+    equations, after the base's ``# e0`` lines: a file that replays clean."""
+    from sharelin.amgu import AnalysisProblem
+    from sharelin.fuzz import exact_abstraction
+    from sharelin.problem_io import format_term, print_problem
+
+    _, triple, formula = exact_abstraction(instance.universe, instance.base)
+    problem = AnalysisProblem(instance.universe, triple, formula, instance.equations)
+    base = "".join(f"# e0 {format_term(eq.lhs)} = {format_term(eq.rhs)}\n" for eq in instance.base)
+    return base + print_problem(problem)
+
+
+def replays():
+    """For each oracle trial at the replay seeds, a ``text`` line for its
+    round-trip file and the argv of its replay, then of the replay of the
+    same file without its ``pos`` line. The files go to ``replay/`` under
+    the working directory, and are named relative to it, since a replay
+    prints its file's name."""
+    from sharelin.fuzz import FuzzLimits, generate_instance
+
+    for seed in REPLAY_SEEDS:
+        rng = random.Random(seed)
+        for trial in range(REPLAY_TRIALS):
+            text = round_trip_text(generate_instance(rng, FuzzLimits()))
+            no_pos = "".join(l for l in text.splitlines(True) if not l.startswith("pos "))
+            name = f"replay/{seed}-{trial}"
+            yield f"text {digest(text)} {name}.sl"
+            for path, body in ((name + ".sl", text), (name + "-no-pos.sl", no_pos)):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(body)
+                yield ("oracle", "--replay", path)
+
+
 def corpus(workloads, workdir: str):
     """The corpus in order: a ``text`` line (a string) for each generated
     file, and the argv (a tuple) of each call."""
@@ -81,6 +123,7 @@ def corpus(workloads, workdir: str):
         for seed in WIDE_ORACLE_SEEDS:
             yield ("oracle", "--seed", str(seed), "--trials", "10", "--max-eqs", "4",
                    "--max-vars", max_vars)
+    yield from replays()
 
 
 def main(argv=None) -> int:
@@ -90,11 +133,16 @@ def main(argv=None) -> int:
     import perfbench.workloads as workloads
     import sharelin.cli as cli
 
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
-        for seed in SEEDS:
-            os.mkdir(os.path.join(workdir, str(seed)))
-        for item in corpus(workloads, workdir):
-            print(item if isinstance(item, str) else call(cli, item, workdir), flush=True)
+        for name in (*map(str, SEEDS), "replay"):
+            os.mkdir(os.path.join(workdir, name))
+        os.chdir(workdir)
+        try:
+            for item in corpus(workloads, workdir):
+                print(item if isinstance(item, str) else call(cli, item, workdir), flush=True)
+        finally:
+            os.chdir(cwd)
     return 0
 
 
