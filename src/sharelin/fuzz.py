@@ -29,15 +29,7 @@ from .amgu import (
 from .concrete import RationalSolvedForm, SolvedFormMasks, solved_form_masks, unify
 from .groundness import trim
 from .problem_io import SemanticError, format_term, parse_equation, parse_problem, print_problem
-from .sharing import (
-    SharingTriple,
-    abstract_multiplicity,
-    freeness_decomposition,
-    group_vars,
-    pairwise_union,
-    relevant,
-    union_closure,
-)
+from .sharing import SharingTriple, abstract_multiplicity, group_vars, pairwise_union, relevant
 from .terms import Compound, Equation, Term, Variable, VariableUniverse
 
 FUNCTORS = (("a", 0), ("f", 1), ("g", 2), ("h", 3))
@@ -164,16 +156,21 @@ def _result_invariants(result: SharingTriple) -> str | None:
 
 
 def check_instance(
-    instance: Instance, limits: FuzzLimits, trial: int = 0, report: FuzzReport | None = None
+    instance: Instance,
+    limits: FuzzLimits,
+    trial: int = 0,
+    report: FuzzReport | None = None,
+    exact0: SolvedFormMasks | None = None,
 ) -> list:
     """Run the whole property battery on one instance.
 
     Each system (the base, base plus the first equation, base plus all
     equations, and the latter permuted) is unified once, the base by the
-    instance itself, and abstracted by one :func:`solved_form_masks` call;
-    every soundness check is then a mask comparison against that exact
-    abstraction. ``report.stats`` records how often the conditional checks
-    actually fired, so a caller can tell a vacuous pass from a real one.
+    instance itself, and abstracted by one :func:`solved_form_masks` call,
+    the base's unless the caller hands it in as ``exact0``; every soundness
+    check is then a mask comparison against that exact abstraction.
+    ``report.stats`` records how often the conditional checks actually
+    fired, so a caller can tell a vacuous pass from a real one.
     """
     count = report.count if report is not None else (lambda key: None)
     violations: list[Violation] = []
@@ -182,7 +179,8 @@ def check_instance(
     def abstract(rsf: RationalSolvedForm | None) -> SolvedFormMasks | None:
         return None if rsf is None else solved_form_masks(rsf, universe)
 
-    exact0 = abstract(instance.solved_form)
+    if exact0 is None:
+        exact0 = abstract(instance.solved_form)
     triple0, formula0 = _exact_state(exact0, universe), exact0.groundness
     step, full_system = instance.equations[:1], instance.base + instance.equations
     step_exact = abstract(unify(instance.base + step).solved_form)
@@ -302,55 +300,6 @@ def run_trials(seed: int, trials: int, limits: FuzzLimits = FuzzLimits()) -> Fuz
     return report
 
 
-def _random_group_state(rng: random.Random, max_vars: int, max_groups: int):
-    n = rng.randint(1, max_vars)
-    universe = VariableUniverse.of_names(f"x{i}" for i in range(1, n + 1))
-    full = universe.full_mask
-    groups = {0} | {rng.randint(0, full) for _ in range(rng.randint(0, max_groups))}
-    free = rng.randint(0, full)
-    return universe, tuple(sorted(groups)), free
-
-
-def coincidence_trials(seed: int, target_blocks: int, max_vars: int = 5) -> FuzzReport:
-    """Within any freeness block, the guarded operations coincide with the
-    plain ones; checked over random states until enough blocks are seen."""
-    rng = random.Random(seed)
-    report = FuzzReport(seed=seed, trials=target_blocks)
-
-    def pick_subset(block):
-        return tuple(g for g in block if rng.random() < 0.7)
-
-    while report.checked < target_blocks:
-        universe, groups, free = _random_group_state(rng, max_vars, max_groups=5)
-        for block in freeness_decomposition(groups, free, max_groups=8):
-            sub = pick_subset(block)
-            sub1 = pick_subset(block)
-            sub2 = pick_subset(block)
-            closed1 = union_closure(sub1)
-            closed2 = union_closure(sub2)
-            checks = (
-                ("guarded-closure", union_closure(sub, free), union_closure(sub)),
-                ("guarded-union", pairwise_union(sub1, sub2, free), pairwise_union(sub1, sub2)),
-                ("closed-left", pairwise_union(closed1, sub2, free), pairwise_union(closed1, sub2)),
-                ("closed-right", pairwise_union(sub1, closed2, free), pairwise_union(sub1, closed2)),
-                ("closed-both", pairwise_union(closed1, closed2, free), pairwise_union(closed1, closed2)),
-            )
-            for name, guarded, plain in checks:
-                if guarded != plain:
-                    report.violations.append(
-                        Violation(
-                            report.checked,
-                            f"block-coincidence-{name}",
-                            f"universe={universe.names} groups={groups} free={free:#x} block={block}",
-                            "",
-                        )
-                    )
-            report.checked += 1
-            if report.checked >= target_blocks:
-                break
-    return report
-
-
 def replay(text: str, limits: FuzzLimits = FuzzLimits()) -> list:
     """Re-run the property battery on a counterexample file.
 
@@ -386,4 +335,4 @@ def replay(text: str, limits: FuzzLimits = FuzzLimits()) -> list:
             Violation(0, "replay-formula-mismatch",
                       "recorded formula differs from the base system's groundness", text)
         )
-    return stale + check_instance(instance, limits)
+    return stale + check_instance(instance, limits, exact0=exact0)

@@ -32,7 +32,7 @@ from .groundness import (
     parse_formula,
 )
 from .sharing import SharingTriple
-from .terms import Compound, Equation, Term, Variable, VariableUniverse, bit_positions
+from .terms import Compound, Equation, Term, Variable, VariableUniverse
 
 
 class ProblemError(Exception):
@@ -263,19 +263,46 @@ def format_term(t: Term) -> str:
     return f"{t.functor}({', '.join(format_term(a) for a in t.args)})"
 
 
-def _printing_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    return mask.bit_count(), bit_positions(mask)
+# each byte value with its eight bits in reverse order, and its set bits
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def format_groups(triple: SharingTriple) -> list[str]:
     """The printed groups in canonical order: by size, then by variable
-    positions. Each group's set bits are walked once, for both its sort key
-    and its names."""
+    positions, lowest first, as tuples compare.
+
+    Each group sorts by one int: its size shifted above the universe's byte
+    width, minus its bit-reversed mask. Of two groups of one size, the one
+    holding the lower first differing position holds the higher differing
+    bit once the bits are reversed, so it has the smaller key. Names are
+    joined from comma-joined pieces, one per byte position and byte value,
+    each built the first time it is needed.
+    """
     names = triple.universe.names
-    return [
-        "{" + ",".join([names[i] for i in positions]) + "}"
-        for _, positions in sorted(map(_printing_key, triple.groups))
-    ]
+    width = (len(names) + 7) // 8
+    shift = 8 * width
+    keyed = []
+    for mask in triple.groups:
+        raw = mask.to_bytes(width, "little")
+        reversed_mask = int.from_bytes(raw.translate(_REVERSED_BYTE), "big")
+        keyed.append(((mask.bit_count() << shift) - reversed_mask, raw))
+    keyed.sort()
+    pieces: dict[int, str] = {}
+    printed = []
+    for _, raw in keyed:
+        parts = []
+        first = 0  # the position of the byte's lowest bit
+        for byte in raw:
+            if byte:
+                key = first << 8 | byte
+                piece = pieces.get(key)
+                if piece is None:
+                    piece = pieces[key] = ",".join([names[first + i] for i in _BYTE_BITS[byte]])
+                parts.append(piece)
+            first += 8
+        printed.append("{" + ",".join(parts) + "}")
+    return printed
 
 
 def format_triple(triple: SharingTriple) -> list[str]:

@@ -1,10 +1,11 @@
 """Set-sharing with freeness and linearity: states and group-set algebra.
 
 Sharing groups are bitmasks over at most 64 variables, held as Python ints.
-The two group-set kernels are :func:`union_closure`, a semi-naive fixpoint,
-and :func:`pairwise_union`, one set comprehension over all pairs. A guard
-mask restricts which pairs combine: two *distinct* groups join only when
-their intersection avoids the guard. Guard 0 gives the unguarded operations.
+The two group-set kernels are :func:`union_closure`, which adds the
+generators to the closure one at a time, and :func:`pairwise_union`, one set
+comprehension over all pairs. A guard mask restricts which pairs combine:
+two *distinct* groups join only when their intersection avoids the guard.
+Guard 0 gives the unguarded operations.
 """
 
 from __future__ import annotations
@@ -90,16 +91,18 @@ def union_closure(groups: Sequence[int], free_guard: int = 0) -> tuple[int, ...]
     two distinct groups carrying a common free variable describe
     incompatible computations and stay separate.
     """
-    # Joining against base groups only is complete: any guarded union of
-    # derived groups decomposes into guarded single-group steps. Only the
-    # groups found in the last round can yield new ones.
-    base = tuple(set(groups))
-    seen = set(base)
-    frontier = base
-    while frontier:
-        frontier = {c | g for c in frontier for g in base if not c & g & free_guard} - seen
-        seen |= frontier
-    return tuple(sorted(seen))
+    # Incremental construction: the closure of the generators so far grows
+    # by a new generator g joined once with each member. Testing the guard
+    # against a member is exact, because a member's guarded bits are the
+    # union of its generators' guarded bits. A generator already in the
+    # closure is a guarded union of earlier ones, so it adds nothing;
+    # smallest first lets more generators be skipped.
+    closed: set[int] = set()
+    for g in sorted(set(groups), key=int.bit_count):
+        if g not in closed:
+            closed |= {c | g for c in closed if not c & g & free_guard}
+            closed.add(g)
+    return tuple(sorted(closed))
 
 
 def pairwise_union(

@@ -28,7 +28,7 @@ from sharelin.concrete import (
     sharing_abstraction,
     unify,
 )
-from sharelin.fuzz import FuzzLimits, coincidence_trials, run_trials
+from sharelin.fuzz import FuzzLimits, run_trials
 from sharelin.groundness import conjoin, entailed_ground, equation_groundness, parse_formula, trim
 from sharelin.sharing import (
     SharingTriple,
@@ -38,6 +38,7 @@ from sharelin.sharing import (
     union_closure,
 )
 from sharelin.terms import Compound, Equation, Variable, VariableUniverse
+from test_kernels import coincidence_trials
 
 u, v, w, x, y, z = (Variable(n) for n in "uvwxyz")
 XYZ = VariableUniverse.of_names(["x", "y", "z"])

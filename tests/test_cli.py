@@ -213,6 +213,16 @@ def test_wide_oracle_with_few_leaves_runs(problem_file, capsys):
     assert out.endswith("counterexamples: 0\n")
 
 
+def test_oracle_at_64_variables_closes_dense_states(capsys):
+    # a trial at this seed closes one 3393-group set to 13 567 groups, which
+    # took the semi-naive closure minutes
+    code, out, _ = run(
+        ["oracle", "--max-vars", "64", "--trials", "200", "--seed", "3"], capsys
+    )
+    assert code == 0
+    assert out.endswith("counterexamples: 0\n")
+
+
 def test_over_bound_universe_analyzes_without_pruning(problem_file, capsys):
     code, out, _ = run(["analyze", problem_file(WIDE24), "--no-early-prune"], capsys)
     assert code == 0

@@ -20,7 +20,6 @@ from sharelin.fuzz import (
     FuzzLimits,
     Instance,
     check_instance,
-    coincidence_trials,
     exact_abstraction,
     generate_instance,
     replay,
@@ -54,12 +53,6 @@ def test_generation_is_deterministic():
     a = [generate_instance(random.Random(7), limits) for _ in range(20)]
     b = [generate_instance(random.Random(7), limits) for _ in range(20)]
     assert a == b
-
-
-def test_coincidence_trials_pass():
-    report = coincidence_trials(seed=7, target_blocks=200)
-    assert report.ok
-    assert report.checked >= 200
 
 
 def test_broken_closure_is_detected(monkeypatch):
@@ -139,6 +132,26 @@ def test_oracle_unifies_each_system_once(monkeypatch):
     # one fixpoint per satisfiable system: the base, the step, the full and
     # the shuffled one
     assert calls["_leaf_masks"] == sum(1 + s + 2 * f for s, f in zip(step_sat, full_sat))
+
+
+def test_replay_abstracts_each_system_once(monkeypatch):
+    from sharelin.fuzz import _counterexample_text
+
+    _, triple, formula = exact_abstraction(NEEDS_CLOSURE.universe, NEEDS_CLOSURE.base)
+    text = _counterexample_text(NEEDS_CLOSURE, triple, formula, NEEDS_CLOSURE.equations)
+    leaf_masks = concrete_mod._leaf_masks
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return leaf_masks(*args)
+
+    monkeypatch.setattr(concrete_mod, "_leaf_masks", counting)
+    assert replay(text) == []
+    # one fixpoint per satisfiable system: the base, read once for the
+    # stale-state checks and the battery, the step, the full and the
+    # shuffled one
+    assert len(calls) == 4
 
 
 def per_variable_describes(triple, equations):

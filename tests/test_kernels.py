@@ -1,12 +1,17 @@
-"""The kernels against golden values, the numpy code they replaced, and the
+"""The kernels against golden values, the code they replaced, and the
 closure laws. numpy is a test-only dependency."""
+
+import random
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharelin.fuzz import FuzzReport, Violation
+from sharelin.sharing import freeness_decomposition
 from sharelin.sharing import pairwise_union as pairwise_masks
 from sharelin.sharing import union_closure as closure_masks
+from sharelin.terms import VariableUniverse
 
 mask_sets = st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=8)
 guards = st.integers(min_value=0, max_value=(1 << 6) - 1)
@@ -42,6 +47,22 @@ def reference_closure(masks, guard=0):
         if grown.size == cur.size:
             return tuple(grown.tolist())
         cur = grown
+
+
+def semi_naive_closure(groups, free_guard=0):
+    """``union_closure`` before it added one generator at a time, verbatim:
+    each round joins the groups found in the last round with every base
+    group."""
+    # Joining against base groups only is complete: any guarded union of
+    # derived groups decomposes into guarded single-group steps. Only the
+    # groups found in the last round can yield new ones.
+    base = tuple(set(groups))
+    seen = set(base)
+    frontier = base
+    while frontier:
+        frontier = {c | g for c in frontier for g in base if not c & g & free_guard} - seen
+        seen |= frontier
+    return tuple(sorted(seen))
 
 
 def reference_pairwise(a, b, guard=0):
@@ -85,6 +106,18 @@ def test_closure_matches_reference(masks, guard):
     assert closure_masks(masks, guard) == reference_closure(masks, guard)
 
 
+@settings(max_examples=300, deadline=None)
+@given(mask_sets, st.just(0) | guards)
+def test_closure_matches_semi_naive(masks, guard):
+    assert closure_masks(masks, guard) == semi_naive_closure(masks, guard)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_mask_sets, st.just(0) | wide_guards)
+def test_wide_closure_matches_semi_naive(masks, guard):
+    assert closure_masks(masks, guard) == semi_naive_closure(masks, guard)
+
+
 @settings(deadline=None)
 @given(wide_mask_sets, wide_mask_sets, st.just(0) | wide_guards, st.booleans())
 def test_pairwise_matches_reference(a, b, guard, same_sides):
@@ -114,3 +147,58 @@ def test_guarded_closure_within_plain(masks, guard):
 @given(mask_sets, mask_sets, guards)
 def test_guarded_pairwise_within_plain(a, b, guard):
     assert set(pairwise_masks(a, b, guard)) <= set(pairwise_masks(a, b))
+
+
+def _random_group_state(rng: random.Random, max_vars: int, max_groups: int):
+    n = rng.randint(1, max_vars)
+    universe = VariableUniverse.of_names(f"x{i}" for i in range(1, n + 1))
+    full = universe.full_mask
+    groups = {0} | {rng.randint(0, full) for _ in range(rng.randint(0, max_groups))}
+    free = rng.randint(0, full)
+    return universe, tuple(sorted(groups)), free
+
+
+def coincidence_trials(seed: int, target_blocks: int, max_vars: int = 5) -> FuzzReport:
+    """Within any freeness block, the guarded operations coincide with the
+    plain ones; checked over random states until enough blocks are seen."""
+    rng = random.Random(seed)
+    report = FuzzReport(seed=seed, trials=target_blocks)
+
+    def pick_subset(block):
+        return tuple(g for g in block if rng.random() < 0.7)
+
+    while report.checked < target_blocks:
+        universe, groups, free = _random_group_state(rng, max_vars, max_groups=5)
+        for block in freeness_decomposition(groups, free, max_groups=8):
+            sub = pick_subset(block)
+            sub1 = pick_subset(block)
+            sub2 = pick_subset(block)
+            closed1 = closure_masks(sub1)
+            closed2 = closure_masks(sub2)
+            checks = (
+                ("guarded-closure", closure_masks(sub, free), closure_masks(sub)),
+                ("guarded-union", pairwise_masks(sub1, sub2, free), pairwise_masks(sub1, sub2)),
+                ("closed-left", pairwise_masks(closed1, sub2, free), pairwise_masks(closed1, sub2)),
+                ("closed-right", pairwise_masks(sub1, closed2, free), pairwise_masks(sub1, closed2)),
+                ("closed-both", pairwise_masks(closed1, closed2, free), pairwise_masks(closed1, closed2)),
+            )
+            for name, guarded, plain in checks:
+                if guarded != plain:
+                    report.violations.append(
+                        Violation(
+                            report.checked,
+                            f"block-coincidence-{name}",
+                            f"universe={universe.names} groups={groups} free={free:#x} block={block}",
+                            "",
+                        )
+                    )
+            report.checked += 1
+            if report.checked >= target_blocks:
+                break
+    return report
+
+
+def test_guarded_kernels_coincide_inside_blocks():
+    report = coincidence_trials(seed=7, target_blocks=200)
+    assert report.ok
+    assert report.checked >= 200

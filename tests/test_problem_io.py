@@ -14,12 +14,13 @@ from sharelin.problem_io import (
     SemanticError,
     format_groups,
     format_term,
+    format_triple,
     parse_equation,
     parse_problem,
     print_problem,
 )
 from sharelin.sharing import SharingTriple
-from sharelin.terms import Compound, Equation, Variable, VariableUniverse
+from sharelin.terms import Compound, Equation, Variable, VariableUniverse, bit_positions
 
 
 def test_smallest_file():
@@ -225,3 +226,60 @@ def test_set_bit_walk_prints_like_the_position_scan(groups, rest):
     for m in (*triple.groups, triple.free, triple.linear):
         assert WIDE.names_of_mask(m) == scanned_names(WIDE, m)
         assert WIDE.vars_of_mask(m) == tuple(Variable(n) for n in scanned_names(WIDE, m))
+
+
+def _printing_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    return mask.bit_count(), bit_positions(mask)
+
+
+def position_key_groups(triple: SharingTriple) -> list[str]:
+    """``format_groups`` before it sorted by one int key, verbatim."""
+    names = triple.universe.names
+    return [
+        "{" + ",".join([names[i] for i in positions]) + "}"
+        for _, positions in sorted(map(_printing_key, triple.groups))
+    ]
+
+
+def scrambled_universe(n):
+    """n names whose alphabetical order differs from their positions."""
+    return VariableUniverse.of_names(f"v{i * 37 % n}" for i in range(n))
+
+
+# one byte, its edges, a byte and one bit, and the widths up to 64 bits
+PRINT_WIDTHS = (1, 7, 8, 9, 20, 63, 64)
+
+
+@st.composite
+def printed_states(draw):
+    n = draw(st.sampled_from(PRINT_WIDTHS))
+    full = (1 << n) - 1
+    top = 1 << (n - 1)  # bit 63 at 64 variables
+    group = st.one_of(
+        st.integers(0, full),
+        st.sets(st.integers(0, n - 1), max_size=4).map(lambda bits: sum(1 << b for b in bits)),
+        st.integers(0, full).map(lambda m: m | top),
+    )
+    groups = draw(st.lists(group, max_size=40))
+    free, linear = draw(st.integers(0, full)), draw(st.integers(0, full))
+    return SharingTriple.make(scrambled_universe(n), groups, free, linear)
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_states())
+def test_int_key_prints_like_the_position_key(triple):
+    assert format_groups(triple) == position_key_groups(triple)
+    text = "\n".join(format_triple(triple)) + "\n"
+    assert parse_problem(text).initial == triple
+
+
+@pytest.mark.parametrize("n", PRINT_WIDTHS)
+def test_int_key_orders_every_group_of_a_width(n):
+    # all groups over the first byte of positions, the empty one and the
+    # top bit on their own, and every single variable
+    universe = scrambled_universe(n)
+    low = (1 << min(n, 8)) - 1
+    groups = [*range(low + 1), 1 << (n - 1), *(1 << i for i in range(n))]
+    triple = SharingTriple.make(universe, groups, 0, 0)
+    assert format_groups(triple) == position_key_groups(triple)
+    assert parse_problem("\n".join(format_triple(triple)) + "\n").initial == triple
