@@ -336,8 +336,8 @@ def early_prune(
     which form E. F ∧ E is a clause form when F is absent (true) or one,
     and a truth table otherwise; ``entailed_ground`` forward-chains the
     first and reads the columns of the second. A group survives iff it
-    misses the ground set and ``trim`` by F keeps it. E is built without
-    the formula bound, so pruning without a formula reaches 64 variables.
+    misses the ground set and ``trim`` by F keeps it. A clause form needs
+    no truth table, so pruning reaches 64 variables unless F is a table.
 
     ``compiled``, when given, is ``compile_equations`` of the equations.
     """

@@ -34,6 +34,7 @@ from .problem_io import (
     parse_problem,
 )
 from .sharing import DecompositionLimitError, SharingTriple
+from .terms import MAX_VARS
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -187,8 +188,7 @@ _non_negative_int = _int_at_least(0, "non-negative")
 # a generated term of depth d may end in a constant ``a()``, one argument
 # list deeper, and must still parse back from a counterexample file
 _term_depth = _int_at_least(0, "non-negative", high=MAX_TERM_DEPTH - 1)
-# a universe holds at most 64 variables
-_universe_size = _int_at_least(1, "positive", high=64)
+_universe_size = _int_at_least(1, "positive", high=MAX_VARS)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .amgu import (
     AlgorithmId,
@@ -102,6 +103,12 @@ class Instance:
         if self.solved_form is None:
             object.__setattr__(self, "solved_form", unify(self.base).solved_form)
 
+    @cached_property
+    def base_exact(self) -> SolvedFormMasks | None:
+        """The base's exact abstraction, or None when the base does not unify."""
+        rsf = self.solved_form
+        return None if rsf is None else solved_form_masks(rsf, self.universe)
+
 
 def generate_instance(rng: random.Random, limits: FuzzLimits) -> Instance:
     while True:
@@ -160,15 +167,14 @@ def check_instance(
     limits: FuzzLimits,
     trial: int = 0,
     report: FuzzReport | None = None,
-    exact0: SolvedFormMasks | None = None,
 ) -> list:
     """Run the whole property battery on one instance.
 
     Each system (the base, base plus the first equation, base plus all
     equations, and the latter permuted) is unified once, the base by the
     instance itself, and abstracted by one :func:`solved_form_masks` call,
-    the base's unless the caller hands it in as ``exact0``; every soundness
-    check is then a mask comparison against that exact abstraction.
+    the base's by :attr:`Instance.base_exact`; every soundness check is
+    then a mask comparison against that exact abstraction.
     ``report.stats`` records how often the conditional checks actually
     fired, so a caller can tell a vacuous pass from a real one.
     """
@@ -179,8 +185,7 @@ def check_instance(
     def abstract(rsf: RationalSolvedForm | None) -> SolvedFormMasks | None:
         return None if rsf is None else solved_form_masks(rsf, universe)
 
-    if exact0 is None:
-        exact0 = abstract(instance.solved_form)
+    exact0 = instance.base_exact
     triple0, formula0 = _exact_state(exact0, universe), exact0.groundness
     step, full_system = instance.equations[:1], instance.base + instance.equations
     step_exact = abstract(unify(instance.base + step).solved_form)
@@ -321,7 +326,7 @@ def replay(text: str, limits: FuzzLimits = FuzzLimits()) -> list:
         return [
             Violation(0, "replay-base-unsatisfiable", "recorded base system does not unify", text)
         ]
-    exact0 = solved_form_masks(instance.solved_form, problem.universe)
+    exact0 = instance.base_exact
     stale: list[Violation] = []
     if _exact_state(exact0, problem.universe) != problem.initial:
         stale.append(
@@ -335,4 +340,4 @@ def replay(text: str, limits: FuzzLimits = FuzzLimits()) -> list:
             Violation(0, "replay-formula-mismatch",
                       "recorded formula differs from the base system's groundness", text)
         )
-    return stale + check_instance(instance, limits, exact0=exact0)
+    return stale + check_instance(instance, limits)

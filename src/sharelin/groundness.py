@@ -4,14 +4,14 @@ A model is the bitmask of the variables assigned true, and positivity is
 exactly the condition that the all-true assignment is a model. A formula
 that is a conjunction of definite clauses, as the groundness of equations
 and of solved forms is, keeps its clauses: entailment, equality, group
-trimming and early pruning forward-chain them (see ``amgu.early_prune``),
-and their models are listed closed set by closed set, so a clause form
-works at any universe size. Any other formula is held as its truth table:
-one Python int whose bit ``m`` is set iff assignment ``m`` is a model, so
-that the all-true assignment is the top bit. Conjunction, entailment,
-trimming and equality work on the table directly, and models are read off
-it only when asked for. A table is only ever built over a bounded
-universe; a clause form builds one only when it meets a table.
+trimming, early pruning (see ``amgu.early_prune``) and printing read the
+clauses alone, so a clause form works at any universe size. Any other
+formula is held as its truth table: one Python int whose bit ``m`` is set
+iff assignment ``m`` is a model, so that the all-true assignment is the
+top bit. Conjunction, entailment, trimming and equality work on the table
+directly, and models are read off it only when asked for. Only a table
+is bounded in size; a clause form builds one only when it meets a table
+or its models are asked for.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ import re
 from functools import cache, cached_property
 from itertools import accumulate, count
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .terms import Equation, VariableUniverse, bit_positions, term_vars
 
 # A truth table has 2**n bits (128 KiB at the bound). This caps every table,
-# every ``pos`` line and the clause constructors below; the clause forms of
-# early pruning's equations and of a solved form's groundness are unbounded.
+# and so the models of any formula; a clause form is never enumerated.
 MAX_FORMULA_VARS = 20
 
 
@@ -79,7 +78,7 @@ class PosFormula:
 
     @classmethod
     def of_models(cls, universe: VariableUniverse, models: Iterable[int]) -> "PosFormula":
-        _bounded_size(universe)
+        _bounded_size(len(universe))
         full = universe.full_mask
         bits = bytearray(((1 << len(universe)) + 7) // 8)
         for m in models:
@@ -93,7 +92,6 @@ class PosFormula:
     def of_clauses(cls, universe: VariableUniverse, clauses: Iterable[Clause]) -> "PosFormula":
         """The conjunction of definite clauses; the all-true assignment
         satisfies each one, so it is always positive."""
-        _bounded_size(universe)
         cs = tuple(clauses)
         full = universe.full_mask
         if any((body | head) & ~full for body, head in cs):
@@ -103,14 +101,11 @@ class PosFormula:
     @property
     def table(self) -> int:
         if self._table is None:
-            _bounded_size(self.universe)
             self._table = _clauses_table(len(self.universe), self.clauses)
         return self._table
 
     @property
     def models(self) -> tuple[int, ...]:
-        if self.clauses is not None:
-            return tuple(_closed_sets(self.clauses, len(self.universe)))
         return _models(self.table)
 
     def is_truth(self) -> bool:
@@ -157,23 +152,6 @@ def _entails(clauses: tuple[Clause, ...], others: Iterable[Clause]) -> bool:
     return all(not head & ~least_model(clauses + ((0, body),)) for body, head in others)
 
 
-def _closed_sets(clauses: tuple[Clause, ...], n: int) -> Iterator[int]:
-    """The models of definite clauses over ``n`` variables, lowest first, by
-    Ganter's NextClosure. The model after ``m`` keeps ``m``'s bits above the
-    lowest clear bit ``i`` whose addition, closed by forward chaining, sets
-    no further bit above ``i``, and adds the closure."""
-    m = least_model(clauses)
-    while True:
-        yield m
-        for i in bit_positions(~m & ((1 << n) - 1)):
-            closed = least_model(clauses + ((0, m >> i + 1 << i + 1 | 1 << i),))
-            if closed >> i + 1 == m >> i + 1:
-                m = closed
-                break
-        else:
-            return
-
-
 def complements_satisfying(clauses: Iterable[Clause], groups: Iterable[int]) -> list[int]:
     """The groups, in order, whose complement satisfies every clause: the
     assignment that makes exactly the group false fails a clause iff the
@@ -184,8 +162,7 @@ def complements_satisfying(clauses: Iterable[Clause], groups: Iterable[int]) -> 
     return kept
 
 
-def _bounded_size(universe: VariableUniverse) -> None:
-    n = len(universe)
+def _bounded_size(n: int) -> None:
     if n > MAX_FORMULA_VARS:
         raise UniverseTooLargeError(
             f"building a groundness formula over {n} variables needs 2**{n} models; "
@@ -215,6 +192,7 @@ def _conjunction_table(n: int, var_mask: int) -> int:
 
 def _clauses_table(n: int, clauses: Iterable[Clause]) -> int:
     """The truth table of a conjunction of definite clauses."""
+    _bounded_size(n)
     every = (1 << (1 << n)) - 1
     table = every
     for body, head in clauses:
@@ -344,7 +322,8 @@ class _FormulaParser:
     """Recursive descent over the grammar above. A value is a tuple of
     definite clauses while the sub-formula is ``true``, a conjunction of
     variables, ``conj -> conj``, ``conj <-> conj`` or a ``&`` of such parts;
-    any other operator turns its operands into truth tables (ints)."""
+    any other operator turns its operands into truth tables (ints); the
+    first is built by ``table``, whose size check runs before ``all``."""
 
     def __init__(self, tokens: list[tuple[str, int]], universe: VariableUniverse):
         self.tokens = tokens
@@ -446,9 +425,9 @@ def parse_formula(text: str, universe: VariableUniverse) -> PosFormula:
     """Parse the surface syntax into a formula; reject non-positive results.
 
     A conjunction of definite clauses keeps its clauses and builds no truth
-    table. Any other value is kept as its truth table.
+    table, at any universe size. Any other value is kept as its truth
+    table, which raises :class:`UniverseTooLargeError` past the bound.
     """
-    _bounded_size(universe)
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 1)
@@ -459,9 +438,20 @@ def parse_formula(text: str, universe: VariableUniverse) -> PosFormula:
 
 
 def format_formula(f: PosFormula) -> str:
-    """Canonical text for a formula: ``true`` or a full disjunctive form."""
+    """Text that :func:`parse_formula` reads back to an equal formula:
+    ``true``; a clause form's clauses, ``(b1 & b2 -> h1 & h2)`` or ``(h1)``,
+    joined by ``&``, less those whose head lies in their body; else the
+    full disjunctive form of the table."""
     if f.is_truth():
         return "true"
+    if f.clauses is not None:
+        names = f.universe.names_of_mask
+        parts = []
+        for body, head in f.clauses:
+            if head & ~body:
+                heads = " & ".join(names(head))
+                parts.append(f"({' & '.join(names(body))} -> {heads})" if body else f"({heads})")
+        return " & ".join(parts)
     parts = []
     for m in f.models:
         lits = [

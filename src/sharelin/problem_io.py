@@ -32,7 +32,7 @@ from .groundness import (
     parse_formula,
 )
 from .sharing import SharingTriple
-from .terms import Compound, Equation, Term, Variable, VariableUniverse
+from .terms import MAX_VARS, Compound, Equation, Term, Variable, VariableUniverse
 
 
 class ProblemError(Exception):
@@ -216,8 +216,8 @@ def parse_problem(text: str) -> AnalysisProblem:
                 raise SemanticError(
                     f"variable {bad!r} declared twice", lineno, cols[names.index(bad)]
                 )
-            if len(names) > 64:
-                raise SemanticError("more than 64 variables are not supported", lineno)
+            if len(names) > MAX_VARS:
+                raise SemanticError(f"more than {MAX_VARS} variables are not supported", lineno)
             universe = VariableUniverse.of_names(names)
         elif keyword == "sharing":
             saw_sharing = True
@@ -318,7 +318,8 @@ def format_triple(triple: SharingTriple) -> list[str]:
 
 
 def print_problem(problem: AnalysisProblem) -> str:
-    """Canonical text for a problem; parsing it back reproduces the problem."""
+    """Text for a problem that parses back to it: a clause-form ``pos``
+    line prints as its clauses, so it reads back at any universe size."""
     lines = format_triple(problem.initial)
     if problem.formula is not None and not problem.formula.is_truth():
         lines.append("pos " + format_formula(problem.formula))

@@ -105,6 +105,9 @@ class TermSummary(NamedTuple):
     var_bit: int
 
 
+MAX_VARS = 64  # the most variables a universe may hold
+
+
 @dataclass(frozen=True)
 class VariableUniverse:
     """Finite ordered set of variables; declaration order fixes bit positions.
@@ -119,8 +122,8 @@ class VariableUniverse:
     def __post_init__(self) -> None:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable in universe")
-        if len(self.variables) > 64:
-            raise ValueError("universes beyond 64 variables are not supported")
+        if len(self.variables) > MAX_VARS:
+            raise ValueError(f"universes beyond {MAX_VARS} variables are not supported")
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.variables)})
 
     @classmethod

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 import sharelin.amgu as amgu
 import sharelin.cli as cli
 import sharelin.groundness as groundness
-from sharelin.fuzz import FuzzReport, Violation
+from sharelin.fuzz import (
+    FuzzLimits,
+    FuzzReport,
+    Violation,
+    _counterexample_text,
+    exact_abstraction,
+    generate_instance,
+)
 from sharelin.problem_io import MAX_TERM_DEPTH, parse_problem
 
 SIX_VARS = (
@@ -123,7 +131,7 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
     [
         ("analyze", "vars x y\nsharing {x}\npos ~x\neq x = y\n", [],
          "semantic error: line 3, column 5: formula is not positive"),
-        ("analyze", wide_vars(22) + "sharing {v0,v1}\npos v0 -> v1\neq v0 = v1\n", [],
+        ("analyze", wide_vars(22) + "sharing {v0,v1}\npos v0 | v1\neq v0 = v1\n", [],
          "semantic error: line 3, column 5: building a groundness formula over 22"),
         ("analyze",
          wide_vars(18) + "sharing " + " ".join("{v%d}" % i for i in range(18)) + "\n"
@@ -189,7 +197,8 @@ def test_term_nested_at_the_bound_runs(problem_file, capsys):
 
 def test_wide_oracle_with_few_leaves_runs(problem_file, capsys):
     # 40 variables: 33 bound to a constant, two to terms over four free
-    # leaves, and one more free leaf; the groundness is a clause form
+    # leaves, and one more free leaf; the groundness is a clause form, and
+    # the file carries it as its pos line
     names = [f"x{i}" for i in range(1, 41)]
     base = [f"x{i} = a()" for i in range(1, 34)] + ["x34 = f(x36, x37)", "x35 = g(x38, x39, x39)"]
     text = "".join(f"# e0 {eq}\n" for eq in base) + (
@@ -197,20 +206,35 @@ def test_wide_oracle_with_few_leaves_runs(problem_file, capsys):
         "sharing {x40} {x34,x36} {x34,x37} {x35,x38} {x35,x39}\n"
         "free x36 x37 x38 x39 x40\n"
         "lin " + " ".join(n for n in names if n != "x35") + "\n"
+        "pos " + " & ".join(names[:33]) + " & (x34 <-> x36 & x37) & (x35 <-> x38 & x39)\n"
         "eq x34 = x35\neq x40 = h(x36, x1)\n"
     )
-    # no pos line parses over 20 variables, and a file without one records
-    # 'true', which this base's groundness is not; the battery finds nothing
     code, out, err = run(["oracle", "--replay", problem_file(text)], capsys)
-    assert code == 3
+    assert code == 0
     assert "Traceback" not in err
-    assert out.count("# counterexample ") == 1
-    assert "property=replay-formula-mismatch" in out
-    assert out.endswith("counterexamples: 1\n")
+    assert out.endswith("counterexamples: 0\n")
     # a trial whose solved form has 28 free leaves
     code, out, _ = run(["oracle", "--max-vars", "30", "--trials", "3", "--seed", "2"], capsys)
     assert code == 0
     assert out.endswith("counterexamples: 0\n")
+
+
+def test_wide_round_trip_files_replay(problem_file, capsys):
+    # the exact round-trip file of every oracle instance at seeds 1-40 over
+    # up to 64 variables; 134 of them have more than 20 variables, and their
+    # pos lines print and parse back as clauses
+    limits = FuzzLimits(max_vars=64)
+    wide = 0
+    for seed in range(1, 41):
+        rng = random.Random(seed)
+        for trial in range(5):
+            instance = generate_instance(rng, limits)
+            wide += len(instance.universe) > 20
+            _, triple, formula = exact_abstraction(instance.universe, instance.base)
+            text = _counterexample_text(instance, triple, formula, instance.equations)
+            code, out, err = run(["oracle", "--replay", problem_file(text)], capsys)
+            assert code == 0 and out.endswith("counterexamples: 0\n"), (seed, trial, err)
+    assert wide == 134
 
 
 def test_oracle_at_64_variables_closes_dense_states(capsys):
@@ -244,6 +268,20 @@ def test_pruning_past_formula_bound(problem_file, capsys, command, n):
     pruned = [l for l in out.splitlines() if l.startswith("# pruned ")]
     assert "# pruned sharing {} {v3}" in pruned
     assert "# pruned lin v0 v2" in pruned
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_clause_form_pos_line_at_64_variables(problem_file, capsys, command):
+    # a pos line in the clause fragment builds no truth table at any width;
+    # its complements drop {v3} and {v62,v63}
+    text = wide_vars(64) + (
+        "sharing {v0,v1} {v2} {v3} {v10} {v62,v63}\n"
+        "pos (v3 <-> v62 & v63) & v40 & (v10 -> v11)\n"
+        "eq v0 = f(v2)\n"
+    )
+    code, out, _ = run([command, problem_file(text)], capsys)
+    assert code == 0
+    assert "# pruned sharing {} {v2} {v10} {v0,v1}" in out.splitlines()
 
 
 def test_compare_prunes_once(problem_file, capsys, monkeypatch):
@@ -601,6 +639,25 @@ def _render_pos(tree, need=0):
     return text if level >= need else f"({text})"
 
 
+def _clause_kind(tree):
+    """How the parser holds the tree's value: "conj" for ``true``, a
+    variable or an ``&`` of such, "clauses" for the rest of its clause
+    fragment (an arrow between two "conj" parts, and ``&`` of clause
+    values), else "table"."""
+    if tree == "true" or isinstance(tree, int):
+        return "conj"
+    if tree[0] == "()":
+        return _clause_kind(tree[1])
+    if tree[0] in ("~", "|"):
+        return "table"
+    kinds = {_clause_kind(tree[1]), _clause_kind(tree[2])}
+    if tree[0] != "&":
+        return "clauses" if kinds == {"conj"} else "table"
+    if "table" in kinds:
+        return "table"
+    return "conj" if kinds == {"conj"} else "clauses"
+
+
 def _holds(tree, m):
     if tree == "true":
         return True
@@ -618,8 +675,9 @@ def _holds(tree, m):
 @given(st.data())
 def test_pos_lines_parse_or_exit_cleanly(problem_file, capsys, data):
     # lines from the pos grammar, some cut short, over 1 to 22 variables:
-    # past the 20-variable bound, and in universes up to 10 variables the
-    # models are checked against evaluating the tree on every assignment
+    # past the 20-variable bound only a clause form parses, and is checked
+    # on sampled assignments; in universes up to 10 variables the models
+    # are checked against evaluating the tree on every assignment
     n = data.draw(st.integers(1, 22), label="n")
     tree = data.draw(_pos_trees(n), label="tree")
     line = _render_pos(tree)
@@ -636,7 +694,16 @@ def test_pos_lines_parse_or_exit_cleanly(problem_file, capsys, data):
     if cut is not None:
         return
     if n > 20:
-        assert code == 2 and "building a groundness formula over" in err
+        if _clause_kind(tree) == "table":
+            assert code == 2 and "building a groundness formula over" in err
+            return
+        assert code == 0
+        formula = parse_problem(text).formula
+        sample = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=64, max_size=64))
+        for m in sample:
+            group = ~m & ((1 << n) - 1)
+            kept = formula is None or groundness.trim(formula, (group,)) == (group,)
+            assert kept == _holds(tree, m)
         return
     models = [m for m in range(1 << n) if _holds(tree, m)] if n <= 10 else None
     positive = _holds(tree, (1 << n) - 1)

@@ -130,6 +130,32 @@ def test_format_round_trip(f):
     assert parse_formula(format_formula(f), XYZ) == f
 
 
+@st.composite
+def _printable_formulas(draw):
+    """Clause forms over 1 to 64 variables, some clauses with an empty head
+    or a head inside their body, or truth tables over 1 to 8 variables."""
+    clausal = draw(st.booleans())
+    n = draw(st.integers(1, 64 if clausal else 8))
+    universe = VariableUniverse.of_names(f"v{i}" for i in range(n))
+    full = universe.full_mask
+    masks = st.integers(0, full)
+    if clausal:
+        clause = st.tuples(masks, masks, st.booleans()).map(
+            lambda c: (c[0], c[1] & c[0] if c[2] else c[1])
+        )
+        return PosFormula.of_clauses(universe, draw(st.lists(clause, max_size=6)))
+    return PosFormula.of_models(universe, draw(st.lists(masks, max_size=40)) + [full])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_printable_formulas())
+def test_format_round_trip_at_any_width(f):
+    back = parse_formula(format_formula(f), f.universe)
+    assert back == f
+    # a clause form prints in the parser's clause fragment, so it builds no table
+    assert f.clauses is None or back.clauses is not None
+
+
 U8 = VariableUniverse.of_names(f"v{i}" for i in range(8))
 
 # formula trees: a variable name or "true", ("~", t), or (op, t, t)
@@ -358,7 +384,7 @@ def test_read_off_of_20_variable_tables():
 def test_universe_size_guard():
     big = VariableUniverse.of_names(f"v{i}" for i in range(21))
     with pytest.raises(UniverseTooLargeError):
-        truth(big)
+        parse_formula("v0 | v1", big)
     with pytest.raises(UniverseTooLargeError):
         PosFormula.of_models(big, [big.full_mask])
     with pytest.raises(UniverseTooLargeError):
@@ -375,7 +401,9 @@ def test_wide_clause_forms_need_no_table():
     weaker = PosFormula(wide, clauses=((0, ground), (pair, top)))
     assert f == g and hash(f) == hash(g)
     assert f != weaker and not f.is_truth()
-    assert f.models == tuple(ground | m for m in (0, 1 << 38, 1 << 39, top | pair))
+    with pytest.raises(UniverseTooLargeError):
+        f.models
+    assert parse_formula(format_formula(f), wide) == f
     assert entailed_ground(conjoin(f, PosFormula(wide, clauses=((0, 1 << 38),)))) == ground | 1 << 38
     assert trim(f, (0, 1, top, pair, top | pair)) == (0, top | pair)
 
@@ -431,8 +459,6 @@ def test_table_operations_match_model_set_copies(data):
     conjoined = conjoin(f, g)
     assert model_set_eq(conjoined, model_set_conjoin(f, g))
     for h in (f, g, conjoined):
-        # a clause form lists its models closed set by closed set
-        assert h.models == _models(h.table)
         assert entailed_ground(h) == model_set_entailed_ground(h)
         assert trim(h, groups) == model_set_trim(h, groups)
     assert (f == g) == model_set_eq(f, g)
