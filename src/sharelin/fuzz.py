@@ -16,17 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .amgu import (
-    AlgorithmId,
-    AmguConfig,
-    AnalysisProblem,
-    amgu1,
-    amgu2,
-    amgu3,
-    decomposed_reference,
-    early_prune,
-    fold_compiled,
-)
+from .amgu import AnalysisProblem, amgu1, amgu2, amgu3, decomposed_reference, early_prune
 from .concrete import RationalSolvedForm, SolvedFormMasks, solved_form_masks, unify
 from .groundness import trim
 from .problem_io import SemanticError, format_term, parse_equation, parse_problem, print_problem
@@ -173,8 +163,19 @@ def check_instance(
     Each system (the base, base plus the first equation, base plus all
     equations, and the latter permuted) is unified once, the base by the
     instance itself, and abstracted by one :func:`solved_form_masks` call,
-    the base's by :attr:`Instance.base_exact`; every soundness check is
-    then a mask comparison against that exact abstraction.
+    the base's by :attr:`Instance.base_exact`. With one equation, base
+    plus the first equation is the full system and is unified once. Every
+    soundness check is then a mask comparison against that exact
+    abstraction.
+
+    One step memo serves the untraded single-step checks and every step of
+    every fold. Its key is the step function, the state's groups, free and
+    linear masks, and the compiled equation; its value is the step's
+    result. Within a trial most steps repeat: pruning often leaves the
+    start unchanged, equation orders share prefixes, and the first step of
+    the given order from the unpruned start is the single-step call.
+    Results are unchanged, since a step is a deterministic function of its
+    key over the trial's universe. The memo lives for one trial.
     ``report.stats`` records how often the conditional checks actually
     fired, so a caller can tell a vacuous pass from a real one.
     """
@@ -188,13 +189,33 @@ def check_instance(
     exact0 = instance.base_exact
     triple0, formula0 = _exact_state(exact0, universe), exact0.groundness
     step, full_system = instance.equations[:1], instance.base + instance.equations
-    step_exact = abstract(unify(instance.base + step).solved_form)
     full_exact = abstract(unify(full_system).solved_form)
+    if len(instance.equations) == 1:
+        step_exact = full_exact
+    else:
+        step_exact = abstract(unify(instance.base + step).solved_form)
 
     def record(prop: str, detail: str, equations=instance.equations) -> None:
         violations.append(
             Violation(trial, prop, detail, _counterexample_text(instance, triple0, formula0, equations))
         )
+
+    # one problem per equation order serves every fold; the first is the
+    # given order, whose first compiled equation the single-step checks use
+    problems = [
+        AnalysisProblem(universe, triple0, formula0, perm)
+        for perm in itertools.islice(
+            itertools.permutations(instance.equations), MAX_PERMUTATIONS
+        )
+    ]
+    memo: dict = {}
+
+    def memoized(fn, triple: SharingTriple, eq) -> SharingTriple:
+        key = (fn, triple.groups, triple.free, triple.linear, eq)
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = fn(triple, *eq)
+        return result
 
     # every occurrence-group complement is a model of the groundness formula
     for label, exact in (("base", exact0), ("full", full_exact)):
@@ -215,17 +236,19 @@ def check_instance(
 
     # single-step checks on the first equation
     s, t = step[0].lhs, step[0].rhs
+    step_eq = problems[0].compiled[0]
     step_sat = step_exact is not None
+    algorithms = (("amgu1", amgu1), ("amgu2", amgu2), ("amgu3", amgu3))
     results = {}
-    for name, fn in (("amgu1", amgu1), ("amgu2", amgu2), ("amgu3", amgu3)):
-        result = fn(triple0, s, t)
+    for name, fn in algorithms:
+        result = memoized(fn, triple0, step_eq)
         results[name] = result
         bad = _result_invariants(result)
         if bad:
             record(f"{name}-invariants", bad, step)
         if step_sat and not step_exact.described_by(result):
             record(f"{name}-soundness", "result does not describe the solved form", step)
-        widened = fn(triple0, s, t, trade_efficiency=True)
+        widened = fn(triple0, *step_eq, trade_efficiency=True)
         if not set(result.groups) <= set(widened.groups):
             record(f"{name}-trade-widens", "trading efficiency produced a smaller group set", step)
         if step_sat and not step_exact.described_by(widened):
@@ -268,21 +291,16 @@ def check_instance(
                    step)
 
     # full pipeline: every algorithm, pruning on and off, equation order
-    # permuted; one problem per order serves every configuration. Pruning
-    # reads the equations as a set, so one pruned state serves every order.
-    problems = [
-        AnalysisProblem(universe, triple0, formula0, perm)
-        for perm in itertools.islice(
-            itertools.permutations(instance.equations), MAX_PERMUTATIONS
-        )
-    ]
+    # permuted, each fold a chain of memoized steps. Pruning reads the
+    # equations as a set, so one pruned state serves every order.
     pruned = early_prune(formula0, instance.equations, triple0, problems[0].compiled)
-    for algo in (AlgorithmId.AMGU1, AlgorithmId.AMGU2, AlgorithmId.AMGU3):
-        config = AmguConfig(algorithm=algo)
+    for name, fn in algorithms:
         for prune, start in ((False, triple0), (True, pruned)):
             for k, problem in enumerate(problems):
-                result = fold_compiled(start, problem.compiled, config)
-                tag = f"analysis[{algo.name.lower()},prune={'on' if prune else 'off'},perm={k}]"
+                result = start
+                for eq in problem.compiled:
+                    result = memoized(fn, result, eq)
+                tag = f"analysis[{name},prune={'on' if prune else 'off'},perm={k}]"
                 bad = _result_invariants(result)
                 if bad:
                     record(tag + "-invariants", bad, equations=problem.equations)

@@ -1,13 +1,26 @@
 """The randomised harness itself: determinism, detection power, replay."""
 
+import itertools
+import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sharelin.amgu as amgu_mod
 import sharelin.concrete as concrete_mod
 import sharelin.fuzz as fuzz_mod
+from sharelin.amgu import (
+    AlgorithmId,
+    AmguConfig,
+    AnalysisProblem,
+    amgu1,
+    amgu2,
+    amgu3,
+    early_prune,
+    fold_compiled,
+)
 from sharelin.concrete import (
     binding_multiplicity,
     describes,
@@ -17,6 +30,7 @@ from sharelin.concrete import (
     unify,
 )
 from sharelin.fuzz import (
+    MAX_PERMUTATIONS,
     FuzzLimits,
     Instance,
     check_instance,
@@ -35,6 +49,28 @@ NEEDS_CLOSURE = Instance(
     VariableUniverse.of_names(["w", "x", "y", "z"]),
     (Equation(w, Compound("f", (x, y, z))),),
     (Equation(w, Compound("f", (z, x, y))),),
+)
+
+
+# instances whose folds reach two states that differ only in their free
+# or only in their linear mask, so a step memo keyed without that mask
+# returns a wrong result. From {x} {y}, both free, `y = x` joins the groups
+# and keeps both free, while `x = f(y)` joins them and binds x; both states
+# are linear. After `y = f(z)` every variable is linear, and `z = z` then
+# drops y's linearity, since y shares with z on both sides.
+FREE_ONLY_DIFFERS = Instance(
+    VariableUniverse.of_names(["x", "y"]),
+    (),
+    (Equation(y, x), Equation(y, x), Equation(x, Compound("f", (y,)))),
+)
+LINEAR_ONLY_DIFFERS = Instance(
+    VariableUniverse.of_names(["x", "y", "z"]),
+    (),
+    (
+        Equation(y, Compound("f", (z,))),
+        Equation(z, z),
+        Equation(y, Compound("h", (z, Compound("g", (x, Compound("f", (z,)))), Compound("a")))),
+    ),
 )
 
 
@@ -106,9 +142,11 @@ def test_oracle_prunes_each_instance_once(monkeypatch):
 def test_oracle_unifies_each_system_once(monkeypatch):
     rng = random.Random(5)
     instances = [generate_instance(rng, FuzzLimits()) for _ in range(20)]
-    # the base comes unified with the instance; the step and full systems
-    # are unified by check_instance, and the shuffled one when the full one
+    # the base comes unified with the instance; the full system is unified
+    # by check_instance, the step system only when it differs from the full
+    # one (two or more equations), and the shuffled one when the full one
     # unifies
+    several = [len(i.equations) >= 2 for i in instances]
     step_sat = [unify(i.base + i.equations[:1]).success for i in instances]
     full_sat = [unify(i.base + i.equations).success for i in instances]
     calls = {"unify": 0, "_leaf_masks": 0}
@@ -128,10 +166,76 @@ def test_oracle_unifies_each_system_once(monkeypatch):
     monkeypatch.setattr(concrete_mod, "_leaf_masks", leaf_masks)
     for instance in instances:
         check_instance(instance, FuzzLimits())
-    assert calls["unify"] == sum(2 + full for full in full_sat)
-    # one fixpoint per satisfiable system: the base, the step, the full and
-    # the shuffled one
-    assert calls["_leaf_masks"] == sum(1 + s + 2 * f for s, f in zip(step_sat, full_sat))
+    assert calls["unify"] == sum(1 + m + f for m, f in zip(several, full_sat))
+    # one fixpoint per satisfiable system: the base, the step (when it is
+    # not the full one), the full and the shuffled one
+    assert calls["_leaf_masks"] == sum(
+        1 + (m and s) + 2 * f for m, s, f in zip(several, step_sat, full_sat)
+    )
+    # the instances include one-equation systems, so the counts are tighter
+    assert not all(several)
+
+
+@pytest.mark.parametrize("limits", [FuzzLimits(), FuzzLimits(max_vars=6, max_eqs=4)])
+def test_memoized_steps_match_unmemoized_calls(monkeypatch, limits):
+    """Every result the battery checks, read off ``_result_invariants`` in
+    order, equals the same call made without the step memo: the untraded
+    single-step calls on the terms, then ``fold_compiled`` for each
+    algorithm, pruning off and on, and each equation order."""
+    checked = []
+    invariants = fuzz_mod._result_invariants
+
+    def recording(result):
+        checked.append(result)
+        return invariants(result)
+
+    monkeypatch.setattr(fuzz_mod, "_result_invariants", recording)
+    rng = random.Random(11)
+    drawn = [generate_instance(rng, limits) for _ in range(60)]
+    for instance in (*drawn, FREE_ONLY_DIFFERS, LINEAR_ONLY_DIFFERS):
+        checked.clear()
+        assert check_instance(instance, limits) == []
+        universe, equations = instance.universe, instance.equations
+        _, triple0, formula0 = exact_abstraction(universe, instance.base)
+        s, t = equations[0].lhs, equations[0].rhs
+        expected = [fn(triple0, s, t) for fn in (amgu1, amgu2, amgu3)]
+        orders = itertools.islice(itertools.permutations(equations), MAX_PERMUTATIONS)
+        problems = [AnalysisProblem(universe, triple0, formula0, order) for order in orders]
+        pruned = early_prune(formula0, equations, triple0)
+        for algo in (AlgorithmId.AMGU1, AlgorithmId.AMGU2, AlgorithmId.AMGU3):
+            config = AmguConfig(algorithm=algo)
+            for start in (triple0, pruned):
+                expected += [fold_compiled(start, p.compiled, config) for p in problems]
+        assert checked == expected
+
+
+# _amgu calls of run_trials(seed=42, trials=100) at default limits; before
+# the step memo every single-step call and every fold step ran, 5022 calls
+MEMO_AMGU_CALLS = 1463
+
+
+def test_oracle_runs_each_distinct_step_once(monkeypatch):
+    rng = random.Random(42)
+    instances = [generate_instance(rng, FuzzLimits()) for _ in range(100)]
+    # without the memo: three untraded and three traded single-step calls,
+    # and one call per equation in each fold (three algorithms, pruning off
+    # and on, each order)
+    unmemoized = sum(
+        6 + 6 * n * min(MAX_PERMUTATIONS, math.factorial(n))
+        for n in (len(i.equations) for i in instances)
+    )
+    assert unmemoized == 5022
+    amgu = amgu_mod._amgu
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return amgu(*args)
+
+    monkeypatch.setattr(amgu_mod, "_amgu", counting)
+    assert run_trials(seed=42, trials=100).ok
+    assert len(calls) == MEMO_AMGU_CALLS
+    assert unmemoized >= 2 * len(calls)
 
 
 def test_replay_abstracts_each_system_once(monkeypatch):
@@ -149,9 +253,10 @@ def test_replay_abstracts_each_system_once(monkeypatch):
     monkeypatch.setattr(concrete_mod, "_leaf_masks", counting)
     assert replay(text) == []
     # one fixpoint per satisfiable system: the base, read once for the
-    # stale-state checks and the battery, the step, the full and the
-    # shuffled one
-    assert len(calls) == 4
+    # stale-state checks and the battery, the full (with one equation, also
+    # the step) and the shuffled one
+    assert len(NEEDS_CLOSURE.equations) == 1
+    assert len(calls) == 3
 
 
 def per_variable_describes(triple, equations):

@@ -6,7 +6,10 @@
 ``TREE`` is the root of the source tree to run (default: the tree this
 script sits in); its ``src/`` and ``perfbench/`` are imported. Running the
 script once on each tree and diffing the two files shows every call whose
-stdout or exit code changed. The corpus:
+stdout or exit code changed. ``tools/stdout_corpus.txt`` holds the output
+for this tree; a change that alters stdout on purpose rewrites it, so its
+diff names every call that changed, and ``tests/test_stdout_corpus.py``
+reruns a fixed slice of it. The corpus:
 
 * the text of every problem file ``perfbench/gen.py`` writes for the three
   workloads at seeds 1 and 2 (one ``text <sha256> <name>`` line each);
@@ -126,10 +129,13 @@ def corpus(workloads, workdir: str):
     yield from replays()
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    tree = os.path.abspath(args[0] if args else os.path.join(os.path.dirname(__file__), ".."))
-    sys.path[:0] = [os.path.join(tree, "src"), tree]
+def lines(every: int = 1):
+    """Yield the corpus lines in order, with ``None`` in place of each call
+    that is not sampled: a call runs only when its line index, counted from
+    0, is a multiple of ``every``, and a ``text`` line, which costs nothing
+    to make, always prints. ``sharelin`` and ``perfbench`` must be
+    importable; the working directory is a temporary one until the
+    generator finishes."""
     import perfbench.workloads as workloads
     import sharelin.cli as cli
 
@@ -139,10 +145,21 @@ def main(argv=None) -> int:
             os.mkdir(os.path.join(workdir, name))
         os.chdir(workdir)
         try:
-            for item in corpus(workloads, workdir):
-                print(item if isinstance(item, str) else call(cli, item, workdir), flush=True)
+            for i, item in enumerate(corpus(workloads, workdir)):
+                if isinstance(item, str):
+                    yield item
+                else:
+                    yield call(cli, item, workdir) if i % every == 0 else None
         finally:
             os.chdir(cwd)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    tree = os.path.abspath(args[0] if args else os.path.join(os.path.dirname(__file__), ".."))
+    sys.path[:0] = [os.path.join(tree, "src"), tree]
+    for line in lines():
+        print(line, flush=True)
     return 0
 
 
