@@ -226,7 +226,9 @@ def _amgu(triple: SharingTriple, s: Side, t: Side, variant: int, trade: bool) ->
     g, f, l = _amgu_raw(
         universe, triple.groups, triple.free, triple.linear, s, t, variant, trade
     )
-    return SharingTriple.make(universe, g, f, l)
+    # already canonical: sorted groups that keep 0 (no mask meets it), free
+    # inside linear, every mask inside the universe
+    return SharingTriple(universe, g, f, l)
 
 
 def amgu1(

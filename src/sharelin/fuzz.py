@@ -16,7 +16,15 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .amgu import AnalysisProblem, amgu1, amgu2, amgu3, decomposed_reference, early_prune
+from .amgu import (
+    AnalysisProblem,
+    amgu1,
+    amgu2,
+    amgu3,
+    compile_equations,
+    decomposed_reference,
+    early_prune,
+)
 from .concrete import RationalSolvedForm, SolvedFormMasks, solved_form_masks, unify
 from .groundness import trim
 from .problem_io import SemanticError, format_term, parse_equation, parse_problem, print_problem
@@ -200,12 +208,13 @@ def check_instance(
             Violation(trial, prop, detail, _counterexample_text(instance, triple0, formula0, equations))
         )
 
-    # one problem per equation order serves every fold; the first is the
-    # given order, whose first compiled equation the single-step checks use
-    problems = [
-        AnalysisProblem(universe, triple0, formula0, perm)
+    # the given order is compiled once; every fold reads an order as the
+    # permuted equations and their compiled forms, the given order first
+    compiled = compile_equations(universe, instance.equations)
+    orders = [
+        (tuple(instance.equations[i] for i in perm), tuple(compiled[i] for i in perm))
         for perm in itertools.islice(
-            itertools.permutations(instance.equations), MAX_PERMUTATIONS
+            itertools.permutations(range(len(compiled))), MAX_PERMUTATIONS
         )
     ]
     memo: dict = {}
@@ -236,7 +245,7 @@ def check_instance(
 
     # single-step checks on the first equation
     s, t = step[0].lhs, step[0].rhs
-    step_eq = problems[0].compiled[0]
+    step_eq = compiled[0]
     step_sat = step_exact is not None
     algorithms = (("amgu1", amgu1), ("amgu2", amgu2), ("amgu3", amgu3))
     results = {}
@@ -293,22 +302,22 @@ def check_instance(
     # full pipeline: every algorithm, pruning on and off, equation order
     # permuted, each fold a chain of memoized steps. Pruning reads the
     # equations as a set, so one pruned state serves every order.
-    pruned = early_prune(formula0, instance.equations, triple0, problems[0].compiled)
+    pruned = early_prune(formula0, instance.equations, triple0, compiled)
     for name, fn in algorithms:
         for prune, start in ((False, triple0), (True, pruned)):
-            for k, problem in enumerate(problems):
+            for k, (equations, order) in enumerate(orders):
                 result = start
-                for eq in problem.compiled:
+                for eq in order:
                     result = memoized(fn, result, eq)
                 tag = f"analysis[{name},prune={'on' if prune else 'off'},perm={k}]"
                 bad = _result_invariants(result)
                 if bad:
-                    record(tag + "-invariants", bad, equations=problem.equations)
+                    record(tag + "-invariants", bad, equations=equations)
                 if full_exact is not None:
                     count("analysis-satisfiable")
                     if not full_exact.described_by(result):
                         record(tag, "result does not describe the solved form",
-                               equations=problem.equations)
+                               equations=equations)
 
     return violations
 

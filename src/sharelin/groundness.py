@@ -329,7 +329,7 @@ class _FormulaParser:
         self.tokens = tokens
         self.pos = 0
         self.n = len(universe)
-        self.bits = {v.name: i for i, v in enumerate(universe.variables)}
+        self.bits = universe.name_index
 
     @cached_property
     def all(self) -> int:

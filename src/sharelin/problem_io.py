@@ -52,120 +52,134 @@ class SemanticError(ProblemError):
     """Grammatically fine, but inconsistent with the declared universe."""
 
 
-_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+# One match per token: an identifier, or any other non-space character on
+# its own.
+_TOKEN_RE = re.compile(r"\s*([a-z][a-zA-Z0-9_]*|\S)")
 # Terms are walked recursively (parsing, hashing, printing, concrete
 # unification), so nesting is bounded well inside Python's recursion limit.
 MAX_TERM_DEPTH = 256
 _SECTION_ORDER = {"vars": 0, "sharing": 1, "free": 2, "lin": 3, "pos": 4, "eq": 5}
 
 
-class _LineScanner:
-    """Token scanner for one line, tracking 1-based columns."""
+class _Line:
+    """The tokens of one line, read left to right, then ``""`` for the end.
 
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.line = line
+    An error reports the 1-based column of the token it stops at, or one
+    past the line's end. Columns are found only then, by matching the same
+    regex again.
+    """
+
+    def __init__(self, body: str, line: int):
+        # trailing space is cut first: the regex would rescan it from each
+        # of its positions
+        self.end = len(body.rstrip())
+        self.tokens = _TOKEN_RE.findall(body, 0, self.end)
+        self.tokens.append("")
         self.pos = 0
+        self.body = body
+        self.line = line
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def column(self, index: int) -> int:
+        starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(self.body, 0, self.end)]
+        return starts[index] if index < len(starts) else len(self.body) + 1
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return not self.tokens[self.pos]
 
-    @property
-    def col(self) -> int:
-        return self.pos + 1
+    def error(self, expected: str) -> ParseError:
+        token = self.tokens[self.pos]
+        found = repr(token[0]) if token else "end of line"
+        return self.error_at(f"expected {expected}, found {found}", self.pos)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error_at(self, message: str, index: int) -> ParseError:
+        return ParseError(message, self.line, self.column(index))
+
+    def semantic(self, message: str, index: int) -> SemanticError:
+        return SemanticError(message, self.line, self.column(index))
 
     def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            found = repr(self.peek()) if self.peek() else "end of line"
-            raise ParseError(f"expected {ch!r}, found {found}", self.line, self.col)
+        if self.tokens[self.pos] != ch:
+            raise self.error(repr(ch))
         self.pos += 1
 
-    def ident(self, what: str = "identifier") -> tuple[str, int]:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m is None:
-            found = repr(self.text[self.pos]) if self.pos < len(self.text) else "end of line"
-            raise ParseError(f"expected {what}, found {found}", self.line, self.col)
-        self.pos = m.end()
-        return m.group(), m.start() + 1
+    def ident(self, what: str) -> str:
+        token = self.tokens[self.pos]
+        # the token starts with a lowercase letter, so it is a whole identifier
+        if not "a" <= token < "{":
+            raise self.error(what)
+        self.pos += 1
+        return token
+
+    def variable(self, universe: VariableUniverse) -> int:
+        """The position in the universe of the next token, a declared variable."""
+        name = self.ident("variable")
+        index = universe.name_index.get(name)
+        if index is None:
+            raise self.semantic(f"undeclared variable {name!r}", self.pos - 1)
+        return index
 
     def expect_end(self) -> None:
-        if not self.at_end():
+        if self.tokens[self.pos]:
+            col = self.column(self.pos)
             raise ParseError(
-                f"unexpected trailing text {self.text[self.pos:].strip()!r}",
-                self.line,
-                self.col,
+                f"unexpected trailing text {self.body[col - 1:].strip()!r}", self.line, col
             )
 
 
-def _parse_term(scanner: _LineScanner, universe: VariableUniverse, depth: int = 0) -> Term:
-    name, col = scanner.ident("term")
-    if scanner.peek() == "(":
-        scanner.expect("(")
-        if Variable(name) in universe:
-            raise SemanticError(
-                f"declared variable {name!r} used as a functor", scanner.line, col
-            )
+def _parse_term(line: _Line, universe: VariableUniverse, depth: int = 0) -> Term:
+    start = line.pos
+    name = line.ident("term")
+    index = universe.name_index.get(name)
+    if line.tokens[line.pos] == "(":
+        line.pos += 1
+        if index is not None:
+            raise line.semantic(f"declared variable {name!r} used as a functor", start)
         if depth == MAX_TERM_DEPTH:
-            raise SemanticError(
-                f"term nested deeper than {MAX_TERM_DEPTH} argument lists", scanner.line, col
-            )
+            raise line.semantic(f"term nested deeper than {MAX_TERM_DEPTH} argument lists", start)
         args: list[Term] = []
-        if scanner.peek() != ")":
-            args.append(_parse_term(scanner, universe, depth + 1))
-            while scanner.peek() == ",":
-                scanner.expect(",")
-                args.append(_parse_term(scanner, universe, depth + 1))
-        scanner.expect(")")
+        if line.tokens[line.pos] != ")":
+            args.append(_parse_term(line, universe, depth + 1))
+            while line.tokens[line.pos] == ",":
+                line.pos += 1
+                args.append(_parse_term(line, universe, depth + 1))
+        line.expect(")")
         return Compound(name, tuple(args))
-    if Variable(name) not in universe:
-        raise SemanticError(f"undeclared variable {name!r}", scanner.line, col)
-    return Variable(name)
+    if index is None:
+        raise line.semantic(f"undeclared variable {name!r}", start)
+    return universe.variables[index]
+
+
+def _parse_equation(line: _Line, universe: VariableUniverse) -> Equation:
+    lhs = _parse_term(line, universe)
+    line.expect("=")
+    rhs = _parse_term(line, universe)
+    line.expect_end()
+    return Equation(lhs, rhs)
 
 
 def parse_equation(text: str, universe: VariableUniverse, line: int) -> Equation:
     """Parse ``lhs = rhs`` over the universe; errors report ``line`` and the
     column within ``text``."""
-    scanner = _LineScanner(text, line)
-    lhs = _parse_term(scanner, universe)
-    scanner.expect("=")
-    rhs = _parse_term(scanner, universe)
-    scanner.expect_end()
-    return Equation(lhs, rhs)
+    return _parse_equation(_Line(text, line), universe)
 
 
-def _parse_group(scanner: _LineScanner, universe: VariableUniverse) -> int:
-    scanner.expect("{")
+def _parse_group(line: _Line, universe: VariableUniverse) -> int:
+    line.expect("{")
     mask = 0
-    if scanner.peek() != "}":
+    if line.tokens[line.pos] != "}":
         while True:
-            name, col = scanner.ident("variable")
-            if Variable(name) not in universe:
-                raise SemanticError(f"undeclared variable {name!r}", scanner.line, col)
-            mask |= universe.bit(Variable(name))
-            if scanner.peek() != ",":
+            mask |= 1 << line.variable(universe)
+            if line.tokens[line.pos] != ",":
                 break
-            scanner.expect(",")
-    scanner.expect("}")
+            line.pos += 1
+    line.expect("}")
     return mask
 
 
-def _parse_name_list(scanner: _LineScanner, universe: VariableUniverse) -> int:
+def _parse_name_list(line: _Line, universe: VariableUniverse) -> int:
     mask = 0
-    while not scanner.at_end():
-        name, col = scanner.ident("variable")
-        if Variable(name) not in universe:
-            raise SemanticError(f"undeclared variable {name!r}", scanner.line, col)
-        mask |= universe.bit(Variable(name))
+    while not line.at_end():
+        mask |= 1 << line.variable(universe)
     return mask
 
 
@@ -185,69 +199,58 @@ def parse_problem(text: str) -> AnalysisProblem:
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue
-        scanner = _LineScanner(body, lineno)
-        keyword, kcol = scanner.ident("section keyword")
+        line = _Line(body, lineno)
+        keyword = line.ident("section keyword")
         stage = _SECTION_ORDER.get(keyword)
         if stage is None:
-            raise ParseError(f"unknown section {keyword!r}", lineno, kcol)
+            raise line.error_at(f"unknown section {keyword!r}", 0)
         if universe is None and keyword != "vars":
-            raise ParseError("the file must start with a 'vars' line", lineno, kcol)
+            raise line.error_at("the file must start with a 'vars' line", 0)
         if keyword == "eq":
             if not saw_sharing:
-                raise ParseError("'eq' before the 'sharing' section", lineno, kcol)
+                raise line.error_at("'eq' before the 'sharing' section", 0)
         elif stage <= last_stage:
-            raise ParseError(
-                f"section {keyword!r} out of order or repeated", lineno, kcol
-            )
+            raise line.error_at(f"section {keyword!r} out of order or repeated", 0)
         last_stage = max(last_stage, stage)
 
         if keyword == "vars":
             names: list[str] = []
-            cols: list[int] = []
-            while not scanner.at_end():
-                name, col = scanner.ident("variable")
-                names.append(name)
-                cols.append(col)
+            while not line.at_end():
+                names.append(line.ident("variable"))
             if not names:
-                raise ParseError("expected at least one variable", lineno, scanner.col)
-            dupes = {n for n in names if names.count(n) > 1}
-            if dupes:
-                bad = sorted(dupes)[0]
-                raise SemanticError(
-                    f"variable {bad!r} declared twice", lineno, cols[names.index(bad)]
-                )
+                raise line.error_at("expected at least one variable", 1)
+            if len(set(names)) < len(names):
+                bad = min(n for n in names if names.count(n) > 1)
+                # the keyword is token 0, so name k is token k + 1
+                raise line.semantic(f"variable {bad!r} declared twice", names.index(bad) + 1)
             if len(names) > MAX_VARS:
                 raise SemanticError(f"more than {MAX_VARS} variables are not supported", lineno)
             universe = VariableUniverse.of_names(names)
         elif keyword == "sharing":
             saw_sharing = True
-            while not scanner.at_end():
-                groups.append(_parse_group(scanner, universe))
+            while not line.at_end():
+                groups.append(_parse_group(line, universe))
         elif keyword == "free":
-            free_mask = _parse_name_list(scanner, universe)
+            free_mask = _parse_name_list(line, universe)
         elif keyword == "lin":
-            linear_mask = _parse_name_list(scanner, universe)
+            linear_mask = _parse_name_list(line, universe)
         elif keyword == "pos":
-            scanner.skip_ws()
-            fragment = body[scanner.pos:]
-            offset = scanner.pos
+            offset = line.column(1) - 1
             try:
-                formula = parse_formula(fragment, universe)
+                formula = parse_formula(body[offset:], universe)
             except UnknownFormulaVariable as exc:
                 raise SemanticError(str(exc), lineno, offset + exc.col) from None
             except FormulaSyntaxError as exc:
                 raise ParseError(str(exc), lineno, offset + exc.col) from None
             except NotPositiveError as exc:
                 message = f"formula is not positive: {exc}"
-                raise SemanticError(message, lineno, scanner.col) from None
+                raise SemanticError(message, lineno, offset + 1) from None
             except UniverseTooLargeError as exc:
-                raise SemanticError(str(exc), lineno, scanner.col) from None
+                raise SemanticError(str(exc), lineno, offset + 1) from None
             if formula.is_truth():
                 formula = None  # canonical: no information, no formula
         else:  # eq
-            # blank out the keyword, so that columns still count from the line start
-            padded = " " * scanner.pos + body[scanner.pos:]
-            equations.append(parse_equation(padded, universe, lineno))
+            equations.append(_parse_equation(line, universe))
 
     if universe is None:
         raise ParseError("empty problem: no 'vars' line", 1, 1)

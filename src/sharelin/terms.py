@@ -117,14 +117,20 @@ class VariableUniverse:
     """
 
     variables: tuple[Variable, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    # the variables' names in order, and each name's position: the one name
+    # table that parsing, printing and bit lookups read
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    name_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.variables)) != len(self.variables):
+        names = tuple(v.name for v in self.variables)
+        name_index = {name: i for i, name in enumerate(names)}
+        if len(name_index) != len(names):
             raise ValueError("duplicate variable in universe")
-        if len(self.variables) > MAX_VARS:
+        if len(names) > MAX_VARS:
             raise ValueError(f"universes beyond {MAX_VARS} variables are not supported")
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.variables)})
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "name_index", name_index)
 
     @classmethod
     def of_names(cls, names: Iterable[str]) -> "VariableUniverse":
@@ -137,11 +143,7 @@ class VariableUniverse:
         return iter(self.variables)
 
     def __contains__(self, v: Variable) -> bool:
-        return v in self._index
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return isinstance(v, Variable) and v.name in self.name_index
 
     @property
     def full_mask(self) -> int:
@@ -149,7 +151,7 @@ class VariableUniverse:
 
     def index(self, v: Variable) -> int:
         try:
-            return self._index[v]
+            return self.name_index[v.name]
         except KeyError:
             raise ValueError(f"variable {v.name!r} is not in the universe") from None
 
@@ -189,5 +191,5 @@ class VariableUniverse:
         return tuple(variables[i] for i in bit_positions(mask))
 
     def names_of_mask(self, mask: int) -> tuple[str, ...]:
-        variables = self.variables
-        return tuple(variables[i].name for i in bit_positions(mask))
+        names = self.names
+        return tuple(names[i] for i in bit_positions(mask))

@@ -681,6 +681,24 @@ def test_compiled_steps_match_term_walking_steps(case):
                 assert outcome(fold_equations, start, equations, config) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(compiled_cases())
+def test_steps_return_canonical_states(case):
+    # the steps build their result without SharingTriple.make, so each result
+    # must already be what make builds from its own fields: sorted groups
+    # that hold 0, free inside linear, and every mask inside the universe
+    state, equations = case
+    for step in (amgu1, amgu2, amgu3):
+        for trade in (False, True):
+            triple = state
+            for eq in equations:
+                triple = step(triple, eq.lhs, eq.rhs, trade)
+                assert isinstance(triple.groups, tuple)
+                assert triple == SharingTriple.make(
+                    triple.universe, triple.groups, triple.free, triple.linear
+                )
+
+
 def exact_state(universe, base):
     rsf = unify(base).solved_form
     return SharingTriple.make(

@@ -643,7 +643,8 @@ def _clause_kind(tree):
     """How the parser holds the tree's value: "conj" for ``true``, a
     variable or an ``&`` of such, "clauses" for the rest of its clause
     fragment (an arrow between two "conj" parts, and ``&`` of clause
-    values), else "table"."""
+    values), else "table". An arrow whose clauses all have an empty body
+    is a "conj" again: ``true -> c``, and ``<->`` between two empty ones."""
     if tree == "true" or isinstance(tree, int):
         return "conj"
     if tree[0] == "()":
@@ -652,10 +653,28 @@ def _clause_kind(tree):
         return "table"
     kinds = {_clause_kind(tree[1]), _clause_kind(tree[2])}
     if tree[0] != "&":
-        return "clauses" if kinds == {"conj"} else "table"
+        if kinds != {"conj"}:
+            return "table"
+        empty = _empty_conj(tree[1]) and (tree[0] == "->" or _empty_conj(tree[2]))
+        return "conj" if empty else "clauses"
     if "table" in kinds:
         return "table"
     return "conj" if kinds == {"conj"} else "clauses"
+
+
+def _empty_conj(tree):
+    """Whether the parser holds the tree as a conjunction of no variable."""
+    if tree == "true":
+        return True
+    if isinstance(tree, int) or tree[0] in ("~", "|"):
+        return False
+    if tree[0] == "()":
+        return _empty_conj(tree[1])
+    if _clause_kind(tree) != "conj":
+        return False
+    if tree[0] == "->":  # the conjunction of its head
+        return _empty_conj(tree[2])
+    return _empty_conj(tree[1]) and _empty_conj(tree[2])
 
 
 def _holds(tree, m):

@@ -1,6 +1,7 @@
 """Problem-file parsing, canonical printing, and the round trip."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,45 @@ def test_round_trip_generated_problems():
             assert reparsed.formula is None
         else:
             assert reparsed.formula == formula
+
+
+def problem_error(text):
+    try:
+        parse_problem(text)
+    except (ParseError, SemanticError) as exc:
+        return type(exc), exc.message, exc.line, exc.col
+    return None
+
+
+def test_crlf_text_parses_like_lf():
+    texts = [
+        "# header\nvars x y z\n\nsharing {x,y} {z}  # trailing\nfree x\npos x -> y\n"
+        "eq x = f(y, z)\neq z = a()\n"
+    ]
+    rng = random.Random(5)
+    for _ in range(100):
+        instance = generate_instance(rng, FuzzLimits(max_vars=6))
+        _, triple, formula = exact_abstraction(instance.universe, instance.base)
+        problem = AnalysisProblem(instance.universe, triple, formula, instance.equations)
+        texts.append(print_problem(problem))
+    for text in texts:
+        crlf = text.replace("\n", "\r\n")
+        assert parse_problem(crlf) == parse_problem(text)
+    # errors report the same line and column with either line end
+    errors = ("vars x\nsharing {x\n", "vars x\nsharing {x}\neq x = q\n", "vars x\n  \nfree x\n")
+    for text in errors:
+        assert problem_error(text) is not None
+        assert problem_error(text.replace("\n", "\r\n")) == problem_error(text)
+
+
+def test_trailing_space_is_read_once():
+    # a tokenizer that rescans trailing space from each of its positions
+    # takes about 6 s a line here; reading it once takes well under 1 ms
+    pad = " " * 20_000
+    start = time.perf_counter()
+    problem = parse_problem(f"vars x y{pad}\nsharing {{x}}\t{pad}\neq x = y{pad}\n")
+    assert parse_equation(f"x = y{pad}", problem.universe, 1) == problem.equations[0]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_output_is_valid_input():

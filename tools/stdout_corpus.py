@@ -23,11 +23,14 @@ reruns a fixed slice of it. The corpus:
 * for each of the 5 trials of ``oracle`` at seeds 1-50, the exact
   round-trip file of its instance (one ``text`` line each), replayed with
   ``oracle --replay`` once as written and once with its ``pos`` line
-  removed.
+  removed;
+* a copy with CRLF line ends of every 7th problem file of each workload at
+  seed 1 (one ``text`` line each), written in binary, run by ``analyze``
+  and by ``compare``.
 
-That is 474 texts and 3952 calls. Problem files go to a temporary
+That is 491 texts and 3986 calls. Problem files go to a temporary
 directory, and a printed argv names a file by its seed and base name, or
-by its oracle seed and trial. The corpus takes about 40 s on a 2-vCPU x86
+by its oracle seed and trial. The corpus takes 17-40 s on a 2-vCPU x86
 host.
 """
 
@@ -46,6 +49,8 @@ ORACLE_SEEDS = range(1, 151)
 WIDE_ORACLE_SEEDS = range(60)
 REPLAY_SEEDS = range(1, 51)
 REPLAY_TRIALS = 5
+CRLF_SEED = 1
+CRLF_EVERY = 7
 VARIANTS = (
     *(("analyze", "--algo", algo) for algo in ("1", "2", "3", "file")),
     ("compare",),
@@ -105,13 +110,30 @@ def replays():
                 yield ("oracle", "--replay", path)
 
 
+def crlf_copies(files):
+    """For each (path, problem), a ``text`` line for a copy of the file with
+    CRLF line ends, written in binary so that they reach the CLI as
+    written, and the argv of its ``analyze`` and ``compare`` calls."""
+    for path, problem in files:
+        text = problem.text.replace("\n", "\r\n")
+        copy = path[: -len(".sl")] + "-crlf.sl"
+        with open(copy, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        yield f"text {digest(text)} {CRLF_SEED}/{problem.name}-crlf"
+        yield ("analyze", copy)
+        yield ("compare", copy)
+
+
 def corpus(workloads, workdir: str):
     """The corpus in order: a ``text`` line (a string) for each generated
     file, and the argv (a tuple) of each call."""
+    crlf = []
     for seed in SEEDS:
         for make in workloads.WORKLOADS.values():
             ops = make(seed, os.path.join(workdir, str(seed))).ops
             files = {op.argv[1]: op.problem for op in ops if op.problem is not None}
+            if seed == CRLF_SEED:
+                crlf += list(files.items())[::CRLF_EVERY]
             for problem in files.values():
                 yield f"text {digest(problem.text)} {seed}/{problem.name}"
             yield from (op.argv for op in ops)
@@ -127,6 +149,7 @@ def corpus(workloads, workdir: str):
             yield ("oracle", "--seed", str(seed), "--trials", "10", "--max-eqs", "4",
                    "--max-vars", max_vars)
     yield from replays()
+    yield from crlf_copies(crlf)
 
 
 def lines(every: int = 1):
