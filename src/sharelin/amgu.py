@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, repeat
+from operator import and_, not_
 
 from .groundness import PosFormula, complements_satisfying, conjoin, entailed_ground, trim
 from .sharing import (
@@ -188,8 +190,11 @@ def _amgu_raw(
         guard = 0 if variant == 1 else free
         region = _combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask)
 
-    removed = set(rel_s) | set(rel_t)
-    new_groups = tuple(sorted({g for g in groups if g not in removed} | set(region)))
+    # Two sorted runs without duplicates: the groups that meet neither side,
+    # and the region, whose every group is a union of relevant groups and so
+    # meets a side. They are disjoint, and sorting merges them in linear time.
+    kept = compress(groups, map(not_, map(and_, groups, repeat(s_mask | t_mask))))
+    new_groups = tuple(sorted([*kept, *region]))
     grounded = full & ~group_vars(new_groups)
     vars_s = group_vars(rel_s)
     vars_t = group_vars(rel_t)

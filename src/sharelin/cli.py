@@ -29,7 +29,7 @@ from .problem_io import (
     MAX_TERM_DEPTH,
     ParseError,
     SemanticError,
-    format_groups,
+    format_sharing,
     format_triple,
     parse_problem,
 )
@@ -125,7 +125,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if triple is None:
             print(f"{label:<6} {note}")
             continue
-        shown = " ".join(format_groups(triple))
+        shown = format_sharing(triple)
         free = " ".join(universe.names_of_mask(triple.free)) or "-"
         lin = " ".join(universe.names_of_mask(triple.linear)) or "-"
         print(f"{label:<6} groups={len(triple.groups):<3} S: {shown}  F: {free}  L: {lin}")

@@ -285,22 +285,31 @@ def trim(f: PosFormula, groups: Sequence[int]) -> tuple[int, ...]:
 #
 # '~' is permitted anywhere as long as the final result stays positive.
 
-_TOKEN_RE = re.compile(r"<->|->|[()&|~]|[a-z][a-zA-Z0-9_]*")
+# One match per token: an operator, a parenthesis or an identifier, else any
+# other non-space character on its own, which no formula holds.
+_TOKEN_RE = re.compile(r"\s*(<->|->|[()&|~]|[a-z][a-zA-Z0-9_]*|\S)")
+_OPERATORS = frozenset(("<->", "->", "(", ")", "&", "|", "~"))
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos + 1)
-        tokens.append((m.group(), m.start() + 1))
-        pos = m.end()
+def _tokenize(text: str) -> list[str]:
+    # trailing space is cut first: the regex would rescan it from each of
+    # its positions
+    tokens = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    for index, token in enumerate(tokens):
+        # a token that starts with a lowercase letter is a whole identifier
+        if not ("a" <= token < "{" or token in _OPERATORS):
+            message = f"unexpected character {token!r}"
+            raise FormulaSyntaxError(message, _token_column(text, index))
     return tokens
+
+
+def _token_column(text: str, index: int) -> int:
+    """The 1-based column of token ``index`` of the text, or one past the
+    last token. Columns are found only for errors, by matching the same
+    regex again."""
+    end = len(text.rstrip())
+    starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(text, 0, end)]
+    return starts[index] if index < len(starts) else end + 1
 
 
 # a parsed sub-formula: its definite clauses, or its truth table
@@ -325,7 +334,8 @@ class _FormulaParser:
     any other operator turns its operands into truth tables (ints); the
     first is built by ``table``, whose size check runs before ``all``."""
 
-    def __init__(self, tokens: list[tuple[str, int]], universe: VariableUniverse):
+    def __init__(self, text: str, tokens: list[str], universe: VariableUniverse):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
         self.n = len(universe)
@@ -339,14 +349,15 @@ class _FormulaParser:
         return value if isinstance(value, int) else _clauses_table(self.n, value)
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def column(self, index: int) -> int:
+        return _token_column(self.text, index)
 
     def next_col(self) -> int:
-        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else (
-            self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
-        )
+        return self.column(self.pos)
 
-    def take(self) -> tuple[str, int]:
+    def take(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -411,13 +422,13 @@ class _FormulaParser:
                 raise FormulaSyntaxError("expected ')'", self.next_col())
             self.take()
             return value
-        name, col = self.take()
+        name = self.take()
         if name in ("&", "|", "->", "<->", ")"):
-            raise FormulaSyntaxError(f"unexpected {name!r}", col)
+            raise FormulaSyntaxError(f"unexpected {name!r}", self.column(self.pos - 1))
         if name == "true":
             return ()
         if name not in self.bits:
-            raise UnknownFormulaVariable(name, col)
+            raise UnknownFormulaVariable(name, self.column(self.pos - 1))
         return ((0, 1 << self.bits[name]),)
 
 
@@ -431,7 +442,7 @@ def parse_formula(text: str, universe: VariableUniverse) -> PosFormula:
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 1)
-    value = _FormulaParser(tokens, universe).parse()
+    value = _FormulaParser(text, tokens, universe).parse()
     if isinstance(value, int):
         return _of_table(universe, value)
     return PosFormula(universe, clauses=value)

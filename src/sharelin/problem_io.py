@@ -20,6 +20,9 @@ themselves valid inputs.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
+from itertools import cycle, repeat
+from operator import getitem, lshift, or_
 
 from .amgu import AnalysisProblem
 from .groundness import (
@@ -266,53 +269,60 @@ def format_term(t: Term) -> str:
     return f"{t.functor}({', '.join(format_term(a) for a in t.args)})"
 
 
-# each byte value with its eight bits in reverse order, and its set bits
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# flip(b) = 255 - (b with its eight bits in reverse order), an involution;
+# and each byte value's set bits
+_FLIP = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+# what the size byte prints: the end of the previous group, the next one's start
+_GROUP_BREAK = ("} {",) * 256
 
 
-def format_groups(triple: SharingTriple) -> list[str]:
-    """The printed groups in canonical order: by size, then by variable
-    positions, lowest first, as tuples compare.
+def format_sharing(triple: SharingTriple) -> str:
+    """The printed groups, space-separated, in canonical order: by size,
+    then by variable positions, lowest first, as tuples compare.
 
-    Each group sorts by one int: its size shifted above the universe's byte
-    width, minus its bit-reversed mask. Of two groups of one size, the one
-    holding the lower first differing position holds the higher differing
-    bit once the bits are reversed, so it has the smaller key. Names are
-    joined from comma-joined pieces, one per byte position and byte value,
-    each built the first time it is needed.
+    Each group's key is the bytes ``[size, flip(b0), ..., flip(b_{w-1})]``
+    of its mask's bytes ``b0`` (the lowest) to ``b_{w-1}``. Of two groups
+    of one size, the one holding the lower first differing position holds
+    the higher bit once that byte is reversed, so its flipped byte, and its
+    key, is smaller. The key comes from one ``to_bytes`` of the mask above
+    ``flip(size)`` and one ``translate`` by ``flip``, which turns the low
+    byte back into the size.
+
+    The sorted keys form one byte stream, and each byte prints through its
+    column's table: the size byte as ``"} {"``, and a mask byte as
+    ``",name"`` for each of its variables. A table holds only the pieces of
+    its column's distinct bytes. Names are identifiers, so ``"{,"`` occurs
+    only where a group's first name follows its brace.
     """
     names = triple.universe.names
     width = (len(names) + 7) // 8
-    shift = 8 * width
-    keyed = []
-    for mask in triple.groups:
-        raw = mask.to_bytes(width, "little")
-        reversed_mask = int.from_bytes(raw.translate(_REVERSED_BYTE), "big")
-        keyed.append(((mask.bit_count() << shift) - reversed_mask, raw))
-    keyed.sort()
-    pieces: dict[int, str] = {}
-    printed = []
-    for _, raw in keyed:
-        parts = []
-        first = 0  # the position of the byte's lowest bit
-        for byte in raw:
-            if byte:
-                key = first << 8 | byte
-                piece = pieces.get(key)
-                if piece is None:
-                    piece = pieces[key] = ",".join([names[first + i] for i in _BYTE_BITS[byte]])
-                parts.append(piece)
-            first += 8
-        printed.append("{" + ",".join(parts) + "}")
-    return printed
+    groups = triple.groups
+    flipped_sizes = map(_FLIP.__getitem__, map(int.bit_count, groups))
+    values = map(or_, map(lshift, groups, repeat(8)), flipped_sizes)
+    raw = map(int.to_bytes, values, repeat(width + 1), repeat("little"))
+    stream = b"".join(sorted(map(bytes.translate, raw, repeat(_FLIP))))
+    tables: list[Sequence[str]] = [_GROUP_BREAK]
+    for column in range(width):
+        first = 8 * column  # the position of the byte's lowest bit
+        table = [""] * 256
+        for flipped in set(stream[column + 1 :: width + 1]):
+            table[flipped] = "".join([f",{names[first + i]}" for i in _BYTE_BITS[_FLIP[flipped]]])
+        tables.append(table)
+    text = "".join(map(getitem, cycle(tables), stream))
+    return (text[2:] + "}").replace("{,", "{")
+
+
+def format_groups(triple: SharingTriple) -> list[str]:
+    """The printed groups in canonical order (see :func:`format_sharing`)."""
+    return format_sharing(triple).split(" ")
 
 
 def format_triple(triple: SharingTriple) -> list[str]:
     """The ``vars``/``sharing``/``free``/``lin`` lines for a state."""
     universe = triple.universe
     lines = ["vars " + " ".join(universe.names)]
-    lines.append("sharing " + " ".join(format_groups(triple)))
+    lines.append("sharing " + format_sharing(triple))
     if triple.free:
         lines.append("free " + " ".join(universe.names_of_mask(triple.free)))
     if triple.linear != triple.free:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -106,6 +107,8 @@ class TermSummary(NamedTuple):
 
 
 MAX_VARS = 64  # the most variables a universe may hold
+# a variable name in a universe: an identifier of the problem-file grammar
+_IDENTIFIER_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,8 @@ class VariableUniverse:
     """Finite ordered set of variables; declaration order fixes bit positions.
 
     Every set of variables handled by the analysis is represented as a
-    bitmask over this order.
+    bitmask over this order. Names are identifiers, ``[a-z][a-zA-Z0-9_]*``,
+    so every universe prints as a problem file that parses back.
     """
 
     variables: tuple[Variable, ...]
@@ -124,6 +128,9 @@ class VariableUniverse:
 
     def __post_init__(self) -> None:
         names = tuple(v.name for v in self.variables)
+        if not all(map(_IDENTIFIER_RE.fullmatch, names)):
+            bad = next(n for n in names if not _IDENTIFIER_RE.fullmatch(n))
+            raise ValueError(f"variable name {bad!r} is not an identifier")
         name_index = {name: i for i, name in enumerate(names)}
         if len(name_index) != len(names):
             raise ValueError("duplicate variable in universe")

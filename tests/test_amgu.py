@@ -16,11 +16,14 @@ from sharelin.amgu import (
     AlgorithmId,
     AmguConfig,
     AnalysisProblem,
+    _amgu_raw,
     _combine,
+    _ground_trimmed_region,
     amgu1,
     amgu2,
     amgu3,
     analyze,
+    compile_equations,
     decomposed_reference,
     early_prune,
     fold_equations,
@@ -48,6 +51,7 @@ from sharelin.sharing import (
     abstract_multiplicity,
     freeness_decomposition,
     group_vars,
+    mask_multiplicity,
     pairwise_union,
     relevant,
     union_closure,
@@ -697,6 +701,82 @@ def test_steps_return_canonical_states(case):
                 assert triple == SharingTriple.make(
                     triple.universe, triple.groups, triple.free, triple.linear
                 )
+
+
+def set_union_amgu_raw(universe, groups, free, linear, s, t, variant, trade):
+    """``_amgu_raw`` before it merged two sorted runs, verbatim: it removes
+    the relevant groups through a set and sorts the set union with the
+    region. It also returns the region."""
+    s_mask, t_mask = s.mask, t.mask
+    rel_s = relevant(groups, s_mask)
+    rel_t = relevant(groups, t_mask)
+    s_free = bool(s.var_bit & free)
+    t_free = bool(t.var_bit & free)
+    chi_s = mask_multiplicity(s_mask, s.repeated, groups, linear)
+    chi_t = mask_multiplicity(t_mask, t.repeated, groups, linear)
+    full = universe.full_mask
+
+    # a side with no variable bit is a compound term (possibly a constant)
+    if variant == 1 and (s_free or t_free):
+        region = pairwise_union(rel_s, rel_t)
+    elif variant == 3 and s_free and not t.var_bit:
+        region = _ground_trimmed_region(rel_s, rel_t, s.var_bit, t_mask, free)
+    elif variant == 3 and t_free and not s.var_bit:
+        region = _ground_trimmed_region(rel_t, rel_s, t.var_bit, s_mask, free)
+    else:
+        guard = 0 if variant == 1 else free
+        region = _combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask)
+
+    removed = set(rel_s) | set(rel_t)
+    new_groups = tuple(sorted({g for g in groups if g not in removed} | set(region)))
+    grounded = full & ~group_vars(new_groups)
+    vars_s = group_vars(rel_s)
+    vars_t = group_vars(rel_t)
+
+    if s_free and t_free:
+        new_free = free
+    elif s_free:
+        new_free = free & ~vars_s
+    elif t_free:
+        new_free = free & ~vars_t
+    else:
+        new_free = free & ~(vars_s | vars_t)
+
+    if chi_s == 1 and chi_t == 1:
+        linear_kept = linear & ~(vars_s & vars_t)
+    elif chi_s == 1:
+        linear_kept = linear & ~vars_s
+    elif chi_t == 1:
+        linear_kept = linear & ~vars_t
+    else:
+        linear_kept = linear & ~(vars_s | vars_t)
+    new_linear = new_free | grounded | linear_kept
+
+    return (new_groups, new_free, new_linear), region
+
+
+@settings(max_examples=300, deadline=None)
+@given(compiled_cases())
+def test_merged_runs_match_the_set_union(case):
+    # the step concatenates the groups that meet neither side with the
+    # region and sorts once, so the two runs must be disjoint and the region
+    # free of duplicates for the result to equal the set union
+    state, equations = case
+    universe = state.universe
+    compiled = compile_equations(universe, equations)
+    for variant in (1, 2, 3):
+        for trade in (False, True):
+            groups, free, linear = state.groups, state.free, state.linear
+            for s, t in compiled:
+                expected, region = set_union_amgu_raw(
+                    universe, groups, free, linear, s, t, variant, trade
+                )
+                kept = [g for g in groups if not g & (s.mask | t.mask)]
+                assert not set(kept) & set(region)
+                assert len(set(region)) == len(region)
+                step = _amgu_raw(universe, groups, free, linear, s, t, variant, trade)
+                assert step == expected
+                groups, free, linear = step
 
 
 def exact_state(universe, base):

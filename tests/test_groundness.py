@@ -1,17 +1,22 @@
 """Positive Boolean functions: parsing, conjunction, entailment, trimming,
 and the truth tables against the numpy code they replaced."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharelin.groundness import (
+    FormulaSyntaxError,
     NotPositiveError,
     PosFormula,
     UniverseTooLargeError,
     _column,
     _models,
+    _token_column,
+    _tokenize,
     biconditional,
     conjoin,
     conjunction_of,
@@ -463,3 +468,70 @@ def test_table_operations_match_model_set_copies(data):
         assert trim(h, groups) == model_set_trim(h, groups)
     assert (f == g) == model_set_eq(f, g)
     assert (f == g) <= (hash(f) == hash(g))
+
+
+_SCANNED_TOKEN_RE = re.compile(r"<->|->|[()&|~]|[a-z][a-zA-Z0-9_]*")
+
+
+def scanning_tokenize(text: str) -> list[tuple[str, int]]:
+    """``_tokenize`` before it matched a line in one regex pass, verbatim:
+    it walks the text one character at a time."""
+    tokens: list[tuple[str, int]] = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _SCANNED_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos + 1)
+        tokens.append((m.group(), m.start() + 1))
+        pos = m.end()
+    return tokens
+
+
+def scanned_tokens(text):
+    """The scanner's tokens and their columns, then the column one past the
+    last token that the parser reported at the end; or its error."""
+    try:
+        tokens = scanning_tokenize(text)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.col
+    end = tokens[-1][1] + len(tokens[-1][0]) if tokens else 1
+    return [token for token, _ in tokens], [col for _, col in tokens] + [end]
+
+
+def one_pass_tokens(text):
+    try:
+        tokens = _tokenize(text)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.col
+    return tokens, [_token_column(text, i) for i in range(len(tokens) + 1)]
+
+
+formula_texts = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["<->", "->", "<-", "-", ">", "<", "(", ")", "&", "|", "~", "true", "x", "y",
+             "x1", "aB_9", "A", "Z", "1", "_", "{", "\u00e9", " ", "  ", "\t", "\n",
+             "\u00a0", "\u2003", "\x1c"]
+        ),
+        st.text(max_size=3),
+    ),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(formula_texts)
+def test_one_pass_tokenizer_matches_the_scanner(text):
+    assert one_pass_tokens(text) == scanned_tokens(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "   ", "x", " x -> y ", "x <- y", "x - > y", "(x & y) | z\t", "x\u00a0&\u2003y",
+     "x1 & Y", "true <-> x_1", "x é", "x ->", "  x  \x1c "],
+)
+def test_one_pass_tokenizer_edge_texts(text):
+    assert one_pass_tokens(text) == scanned_tokens(text)

@@ -1,19 +1,22 @@
 """Problem-file parsing, canonical printing, and the round trip."""
 
+import os
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharelin.amgu import AnalysisProblem
+from sharelin.amgu import AlgorithmId, AmguConfig, AnalysisProblem, analyze
 from sharelin.fuzz import FuzzLimits, exact_abstraction, generate_instance
 from sharelin.groundness import parse_formula
 from sharelin.problem_io import (
     ParseError,
     SemanticError,
     format_groups,
+    format_sharing,
     format_term,
     format_triple,
     parse_equation,
@@ -323,3 +326,61 @@ def test_int_key_orders_every_group_of_a_width(n):
     triple = SharingTriple.make(universe, groups, 0, 0)
     assert format_groups(triple) == position_key_groups(triple)
     assert parse_problem("\n".join(format_triple(triple)) + "\n").initial == triple
+
+
+# the byte-reversal table and per-byte set bits of the copy below
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def int_key_groups(triple: SharingTriple) -> list[str]:
+    """``format_groups`` before it printed one sorted byte stream, verbatim."""
+    names = triple.universe.names
+    width = (len(names) + 7) // 8
+    shift = 8 * width
+    keyed = []
+    for mask in triple.groups:
+        raw = mask.to_bytes(width, "little")
+        reversed_mask = int.from_bytes(raw.translate(_REVERSED_BYTE), "big")
+        keyed.append(((mask.bit_count() << shift) - reversed_mask, raw))
+    keyed.sort()
+    pieces: dict[int, str] = {}
+    printed = []
+    for _, raw in keyed:
+        parts = []
+        first = 0  # the position of the byte's lowest bit
+        for byte in raw:
+            if byte:
+                key = first << 8 | byte
+                piece = pieces.get(key)
+                if piece is None:
+                    piece = pieces[key] = ",".join([names[first + i] for i in _BYTE_BITS[byte]])
+                parts.append(piece)
+            first += 8
+        printed.append("{" + ",".join(parts) + "}")
+    return printed
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_states())
+def test_byte_stream_prints_like_the_int_key(triple):
+    expected = int_key_groups(triple)
+    assert format_groups(triple) == expected
+    assert format_sharing(triple) == " ".join(expected)
+
+
+def test_byte_stream_prints_closure_results_like_the_int_key():
+    # the results of the benchmark's closure-dense files at seed 7: about
+    # 2100 groups each over 32 and 64 variables
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in sys.path:
+        sys.path.append(root)
+    from perfbench.gen import closure_problem
+
+    for n in (32, 64):
+        for index in range(6):
+            problem = parse_problem(closure_problem(7, index, n).text)
+            for algo in (AlgorithmId.AMGU1, AlgorithmId.AMGU2, AlgorithmId.AMGU3):
+                result = analyze(problem, AmguConfig(algorithm=algo, early_prune=False))
+                assert len(result.groups) > 1000
+                assert format_groups(result) == int_key_groups(result)

@@ -83,6 +83,19 @@ def test_universe_rejects_duplicates_and_unknowns():
         VariableUniverse.of_names(f"v{i}" for i in range(65))
 
 
+@pytest.mark.parametrize("name", ["{x}", "x,y", "x y", " x", "x ", "X", "Xy", "1x", "_x", "x-y"])
+def test_universe_refuses_names_that_are_not_identifiers(name):
+    # a printed state must parse back, so a name is an identifier of the
+    # problem-file grammar
+    with pytest.raises(ValueError, match="not an identifier"):
+        VariableUniverse.of_names(["a", name])
+
+
+def test_universe_accepts_identifiers():
+    names = ["x", "xY", "a_1", "z9_Q"]
+    assert VariableUniverse.of_names(names).names == tuple(names)
+
+
 def test_functor_identity_includes_arity():
     assert Compound("f", (x,)) != Compound("f", (x, x))
     assert Compound("a") == Compound("a", ())
