@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
-from operator import and_, not_
+from typing import Sequence
 
 from .groundness import PosFormula, complements_satisfying, conjoin, entailed_ground, trim
 from .sharing import (
@@ -15,7 +14,6 @@ from .sharing import (
     group_vars,
     mask_multiplicity,
     pairwise_union,
-    relevant,
     union_closure,
 )
 from .terms import EquationSet, Term, TermSummary, VariableUniverse
@@ -85,8 +83,8 @@ class AnalysisProblem:
 
 
 def _combine(
-    rel_s: tuple[int, ...],
-    rel_t: tuple[int, ...],
+    rel_s: Sequence[int],
+    rel_t: Sequence[int],
     chi_s: int,
     chi_t: int,
     guard: int,
@@ -122,6 +120,9 @@ def _combine(
       Otherwise some c in C meets t, so c is in rel_t: if C = {c}, take
       ``a = b = c``; else take ``a = ∪(C ∖ {c})`` and ``b = c``. Either way
       the two parts share no member, so ``a & b & F == 0``.
+
+    When ``rel_s == rel_t``, every relevant group meets both sides, and so
+    does every union of them: the filter keeps the whole closure.
     """
     if chi_s == 1 and chi_t == 1:
         if trade:
@@ -135,14 +136,16 @@ def _combine(
         return pairwise_union(union_closure(rel_s, guard), rel_t, guard)
     if chi_t == 1:
         return pairwise_union(rel_s, union_closure(rel_t, guard), guard)
+    if rel_s == rel_t:
+        return union_closure(rel_s, guard)
     return tuple(
         g for g in union_closure(rel_s + rel_t, guard) if g & s_mask and g & t_mask
     )
 
 
 def _ground_trimmed_region(
-    rel_free: tuple[int, ...],
-    rel_other: tuple[int, ...],
+    rel_free: Sequence[int],
+    rel_other: Sequence[int],
     fbit: int,
     other_mask: int,
     free: int,
@@ -169,15 +172,36 @@ def _amgu_raw(
     variant: int,
     trade: bool,
 ) -> tuple[tuple[int, ...], int, int]:
-    """One abstract unification step over raw masks (no normalisation)."""
+    """One abstract unification step over raw masks (no normalisation).
+
+    One pass over ``groups`` splits them into the groups relevant to each
+    side and the groups that meet neither, which the step keeps, and ORs
+    the variables of each part. A side's multiplicity reads only its
+    relevant groups: a group that misses the side's mask adds nothing to
+    the side's shared, repeated or paired bits.
+    """
     s_mask, t_mask = s.mask, t.mask
-    rel_s = relevant(groups, s_mask)
-    rel_t = relevant(groups, t_mask)
+    rel_s: list[int] = []
+    rel_t: list[int] = []
+    kept: list[int] = []
+    vars_s = vars_t = kept_vars = 0
+    for g in groups:
+        if g & s_mask:
+            rel_s.append(g)
+            vars_s |= g
+            if g & t_mask:
+                rel_t.append(g)
+                vars_t |= g
+        elif g & t_mask:
+            rel_t.append(g)
+            vars_t |= g
+        else:
+            kept.append(g)
+            kept_vars |= g
     s_free = bool(s.var_bit & free)
     t_free = bool(t.var_bit & free)
-    chi_s = mask_multiplicity(s_mask, s.repeated, groups, linear)
-    chi_t = mask_multiplicity(t_mask, t.repeated, groups, linear)
-    full = universe.full_mask
+    chi_s = mask_multiplicity(s_mask, s.repeated, rel_s, linear)
+    chi_t = mask_multiplicity(t_mask, t.repeated, rel_t, linear)
 
     # a side with no variable bit is a compound term (possibly a constant)
     if variant == 1 and (s_free or t_free):
@@ -193,11 +217,10 @@ def _amgu_raw(
     # Two sorted runs without duplicates: the groups that meet neither side,
     # and the region, whose every group is a union of relevant groups and so
     # meets a side. They are disjoint, and sorting merges them in linear time.
-    kept = compress(groups, map(not_, map(and_, groups, repeat(s_mask | t_mask))))
-    new_groups = tuple(sorted([*kept, *region]))
-    grounded = full & ~group_vars(new_groups)
-    vars_s = group_vars(rel_s)
-    vars_t = group_vars(rel_t)
+    grounded = universe.full_mask & ~(kept_vars | group_vars(region))
+    kept += region
+    kept.sort()
+    new_groups = tuple(kept)
 
     if s_free and t_free:
         new_free = free

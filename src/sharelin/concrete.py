@@ -10,7 +10,6 @@ oracle executable.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -83,34 +82,28 @@ def unify(equations: Iterable[Equation]) -> UnifyOutcome:
     earliest-created variable, a choice that is immaterial to every exported
     query.
     """
-    parent: list[int] = []
-    size: list[int] = []
+    # one entry per node, in creation order: a variable node holds its
+    # variable, a functor node its (name, arity) and its arguments' nodes
     node_var: list[Variable | None] = []
     node_fun: list[tuple[str, int] | None] = []
     node_args: list[tuple[int, ...]] = []
-    schema: dict[int, int] = {}
-    var_ids: dict[Variable, int] = {}
-
-    def new_node(v: Variable | None, fun: tuple[str, int] | None, args: tuple[int, ...]) -> int:
-        nid = len(parent)
-        parent.append(nid)
-        size.append(1)
-        node_var.append(v)
-        node_fun.append(fun)
-        node_args.append(args)
-        if fun is not None:
-            schema[nid] = nid
-        return nid
+    var_ids: dict[str, int] = {}
 
     def intern(t: Term) -> int:
         if isinstance(t, Variable):
-            nid = var_ids.get(t)
+            nid = var_ids.get(t.name)
             if nid is None:
-                nid = new_node(t, None, ())
-                var_ids[t] = nid
+                nid = var_ids[t.name] = len(node_var)
+                node_var.append(t)
+                node_fun.append(None)
+                node_args.append(())
             return nid
-        args = tuple(intern(a) for a in t.args)
-        return new_node(None, (t.functor, t.arity), args)
+        args = tuple([intern(a) for a in t.args])
+        nid = len(node_var)
+        node_var.append(None)
+        node_fun.append((t.functor, len(args)))
+        node_args.append(args)
+        return nid
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -118,12 +111,16 @@ def unify(equations: Iterable[Equation]) -> UnifyOutcome:
             i = parent[i]
         return i
 
-    pending: deque[tuple[int, int]] = deque()
-    for eq in equations:
-        pending.append((intern(eq.lhs), intern(eq.rhs)))
+    # a FIFO of node pairs to merge, walked by index
+    pending = [(intern(eq.lhs), intern(eq.rhs)) for eq in equations]
+    parent = list(range(len(node_var)))
+    size = [1] * len(node_var)
+    schema = {nid: nid for nid, fun in enumerate(node_fun) if fun is not None}
 
-    while pending:
-        a, b = pending.popleft()
+    next_pair = 0
+    while next_pair < len(pending):
+        a, b = pending[next_pair]
+        next_pair += 1
         ra, rb = find(a), find(b)
         if ra == rb:
             continue

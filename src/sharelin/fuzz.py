@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .amgu import (
     AnalysisProblem,
@@ -108,10 +108,15 @@ class Instance:
         return None if rsf is None else solved_form_masks(rsf, self.universe)
 
 
+@cache
+def _universe(n: int) -> VariableUniverse:
+    """The trial universe ``x1 .. xn``, built once per size."""
+    return VariableUniverse.of_names(f"x{i}" for i in range(1, n + 1))
+
+
 def generate_instance(rng: random.Random, limits: FuzzLimits) -> Instance:
     while True:
-        n = rng.randint(1, limits.max_vars)
-        universe = VariableUniverse.of_names(f"x{i}" for i in range(1, n + 1))
+        universe = _universe(rng.randint(1, limits.max_vars))
         variables = universe.variables
         base = tuple(
             random_equation(rng, variables, limits.max_depth)

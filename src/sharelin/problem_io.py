@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from itertools import cycle, repeat
+from itertools import cycle, islice, repeat
 from operator import getitem, lshift, or_
 
 from .amgu import AnalysisProblem
@@ -35,7 +35,7 @@ from .groundness import (
     parse_formula,
 )
 from .sharing import SharingTriple
-from .terms import MAX_VARS, Compound, Equation, Term, Variable, VariableUniverse
+from .terms import MAX_VARS, RESERVED_NAME, Compound, Equation, Term, Variable, VariableUniverse
 
 
 class ProblemError(Exception):
@@ -83,8 +83,9 @@ class _Line:
         self.line = line
 
     def column(self, index: int) -> int:
-        starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(self.body, 0, self.end)]
-        return starts[index] if index < len(starts) else len(self.body) + 1
+        tokens = _TOKEN_RE.finditer(self.body, 0, self.end)
+        match = next(islice(tokens, index, None), None)
+        return len(self.body) + 1 if match is None else match.start(1) + 1
 
     def at_end(self) -> bool:
         return not self.tokens[self.pos]
@@ -226,6 +227,9 @@ def parse_problem(text: str) -> AnalysisProblem:
                 bad = min(n for n in names if names.count(n) > 1)
                 # the keyword is token 0, so name k is token k + 1
                 raise line.semantic(f"variable {bad!r} declared twice", names.index(bad) + 1)
+            if RESERVED_NAME in names:
+                message = f"{RESERVED_NAME!r} is the formula constant, not a variable name"
+                raise line.semantic(message, names.index(RESERVED_NAME) + 1)
             if len(names) > MAX_VARS:
                 raise SemanticError(f"more than {MAX_VARS} variables are not supported", lineno)
             universe = VariableUniverse.of_names(names)

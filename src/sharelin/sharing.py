@@ -96,7 +96,10 @@ def union_closure(groups: Sequence[int], free_guard: int = 0) -> tuple[int, ...]
     # against a member is exact, because a member's guarded bits are the
     # union of its generators' guarded bits. A generator already in the
     # closure is a guarded union of earlier ones, so it adds nothing;
-    # smallest first lets more generators be skipped.
+    # smallest first lets more generators be skipped. Zero generators, or
+    # one, are their own closure.
+    if len(groups) < 2:
+        return tuple(groups)
     closed: set[int] = set()
     for g in sorted(set(groups), key=int.bit_count):
         if g not in closed:

@@ -109,6 +109,8 @@ class TermSummary(NamedTuple):
 MAX_VARS = 64  # the most variables a universe may hold
 # a variable name in a universe: an identifier of the problem-file grammar
 _IDENTIFIER_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+# an identifier that a ``pos`` line always reads as the formula constant
+RESERVED_NAME = "true"
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,8 @@ class VariableUniverse:
 
     Every set of variables handled by the analysis is represented as a
     bitmask over this order. Names are identifiers, ``[a-z][a-zA-Z0-9_]*``,
-    so every universe prints as a problem file that parses back.
+    other than ``true``, so every universe prints as a problem file that
+    parses back, ``pos`` line included.
     """
 
     variables: tuple[Variable, ...]
@@ -125,12 +128,15 @@ class VariableUniverse:
     # table that parsing, printing and bit lookups read
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     name_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(v.name for v in self.variables)
         if not all(map(_IDENTIFIER_RE.fullmatch, names)):
             bad = next(n for n in names if not _IDENTIFIER_RE.fullmatch(n))
             raise ValueError(f"variable name {bad!r} is not an identifier")
+        if RESERVED_NAME in names:
+            raise ValueError(f"variable name {RESERVED_NAME!r} is the formula constant")
         name_index = {name: i for i, name in enumerate(names)}
         if len(name_index) != len(names):
             raise ValueError("duplicate variable in universe")
@@ -138,6 +144,7 @@ class VariableUniverse:
             raise ValueError(f"universes beyond {MAX_VARS} variables are not supported")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "name_index", name_index)
+        object.__setattr__(self, "full_mask", (1 << len(names)) - 1)
 
     @classmethod
     def of_names(cls, names: Iterable[str]) -> "VariableUniverse":
@@ -151,10 +158,6 @@ class VariableUniverse:
 
     def __contains__(self, v: Variable) -> bool:
         return isinstance(v, Variable) and v.name in self.name_index
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.variables)) - 1
 
     def index(self, v: Variable) -> int:
         try:

@@ -7,9 +7,11 @@ definitions by hand (cross-checked against the concrete oracle).
 
 import random
 from bisect import bisect_left
+from itertools import compress, repeat
+from operator import and_, not_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sharelin.amgu import (
@@ -59,6 +61,7 @@ from sharelin.sharing import (
 from sharelin.terms import (
     Compound,
     Equation,
+    TermSummary,
     Variable,
     VariableUniverse,
     term_multiplicity,
@@ -777,6 +780,168 @@ def test_merged_runs_match_the_set_union(case):
                 step = _amgu_raw(universe, groups, free, linear, s, t, variant, trade)
                 assert step == expected
                 groups, free, linear = step
+
+
+def filtered_combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask):
+    """``_combine`` before it skipped the star-union filter for equal
+    relevance sets: with neither side linear, the closure of ``rel_s +
+    rel_t`` is always filtered."""
+    if chi_s != 1 and chi_t != 1:
+        return tuple(
+            g for g in union_closure(rel_s + rel_t, guard) if g & s_mask and g & t_mask
+        )
+    return _combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask)
+
+
+def merged_runs_amgu_raw(universe, groups, free, linear, s, t, variant, trade):
+    """``_amgu_raw`` before it split the groups in one pass, verbatim, with
+    :func:`filtered_combine` for ``_combine``: it takes each side's relevant
+    groups and multiplicity from the whole state, and the grounded
+    variables from the merged result."""
+    s_mask, t_mask = s.mask, t.mask
+    rel_s = relevant(groups, s_mask)
+    rel_t = relevant(groups, t_mask)
+    s_free = bool(s.var_bit & free)
+    t_free = bool(t.var_bit & free)
+    chi_s = mask_multiplicity(s_mask, s.repeated, groups, linear)
+    chi_t = mask_multiplicity(t_mask, t.repeated, groups, linear)
+    full = universe.full_mask
+
+    # a side with no variable bit is a compound term (possibly a constant)
+    if variant == 1 and (s_free or t_free):
+        region = pairwise_union(rel_s, rel_t)
+    elif variant == 3 and s_free and not t.var_bit:
+        region = _ground_trimmed_region(rel_s, rel_t, s.var_bit, t_mask, free)
+    elif variant == 3 and t_free and not s.var_bit:
+        region = _ground_trimmed_region(rel_t, rel_s, t.var_bit, s_mask, free)
+    else:
+        guard = 0 if variant == 1 else free
+        region = filtered_combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask)
+
+    # Two sorted runs without duplicates: the groups that meet neither side,
+    # and the region, whose every group is a union of relevant groups and so
+    # meets a side. They are disjoint, and sorting merges them in linear time.
+    kept = compress(groups, map(not_, map(and_, groups, repeat(s_mask | t_mask))))
+    new_groups = tuple(sorted([*kept, *region]))
+    grounded = full & ~group_vars(new_groups)
+    vars_s = group_vars(rel_s)
+    vars_t = group_vars(rel_t)
+
+    if s_free and t_free:
+        new_free = free
+    elif s_free:
+        new_free = free & ~vars_s
+    elif t_free:
+        new_free = free & ~vars_t
+    else:
+        new_free = free & ~(vars_s | vars_t)
+
+    if chi_s == 1 and chi_t == 1:
+        linear_kept = linear & ~(vars_s & vars_t)
+    elif chi_s == 1:
+        linear_kept = linear & ~vars_s
+    elif chi_t == 1:
+        linear_kept = linear & ~vars_t
+    else:
+        linear_kept = linear & ~(vars_s | vars_t)
+    new_linear = new_free | grounded | linear_kept
+
+    return new_groups, new_free, new_linear
+
+
+def one_pass_pairs(universe, compiled):
+    """Each compiled equation, then side pairs that reach the one-pass
+    step's special cases from its left side ``s``: ``s = g(s, s)`` (equal
+    relevance sets, the right side repeated), ``g(s, s) = g(s, s)`` (both
+    sides repeated), ``s = a()`` (a side that meets no group), and the
+    swaps of the first and third."""
+    constant = universe.summarize(Compound("a"))
+    for s, t in compiled:
+        doubled = TermSummary(s.mask, s.mask, 0)
+        yield s, t
+        for pair in ((s, doubled), (doubled, doubled), (s, constant)):
+            yield pair
+            yield pair[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(compiled_cases())
+def test_one_pass_step_matches_merged_runs(case):
+    state, equations = case
+    universe = state.universe
+    compiled = compile_equations(universe, equations)
+    for variant in (1, 2, 3):
+        for trade in (False, True):
+            groups, free, linear = state.groups, state.free, state.linear
+            for s, t in one_pass_pairs(universe, compiled):
+                expected = merged_runs_amgu_raw(
+                    universe, groups, free, linear, s, t, variant, trade
+                )
+                step = _amgu_raw(universe, groups, free, linear, s, t, variant, trade)
+                assert step == expected
+                groups, free, linear = step
+
+
+@st.composite
+def raw_step_cases(draw):
+    """A state and two side summaries drawn as masks over 1-8 variables, or
+    63/64 with sparse masks that reach bit n-1: a side's repeated bits lie
+    inside its mask, and a side with one variable and no repeat may be that
+    bare variable. Unlike summaries of drawn terms, repeats are as common as
+    not, and a side's variables may lie in groups the other side misses."""
+    n = draw(st.one_of(st.integers(1, 8), st.sampled_from([63, 64])))
+    universe = VariableUniverse.of_names(f"v{i}" for i in range(n))
+    bits = list(range(n)) if n <= 8 else [0, 1, 2, 3, 31, 32, n - 2, n - 1]
+    masks = st.sets(st.sampled_from(bits)).map(lambda chosen: sum(1 << b for b in chosen))
+    state = SharingTriple.make(
+        universe, draw(st.lists(masks, max_size=6)), draw(masks), draw(masks)
+    )
+
+    def side():
+        mask, repeated = draw(masks), draw(masks)
+        bare = mask.bit_count() == 1 and not repeated & mask and draw(st.booleans())
+        return TermSummary(mask, repeated & mask, mask if bare else 0)
+
+    return state, side(), side()
+
+
+# s's repeated v3 lies in groups that t misses: only the s side's own
+# relevant groups make s non-linear there
+U4 = VariableUniverse.of_names(["v0", "v1", "v2", "v3"])
+S_REPEATS_APART = (
+    SharingTriple.make(U4, [0b0001, 0b1000, 0b1100], 0b1000, 0b1101),
+    TermSummary(0b1110, 0b1010, 0),
+    TermSummary(0b0011, 0b0001, 0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_step_cases())
+@example(S_REPEATS_APART)
+@example(S_REPEATS_APART[:1] + S_REPEATS_APART[:0:-1])
+def test_one_pass_step_matches_merged_runs_on_raw_sides(case):
+    state, s, t = case
+    args = (state.universe, state.groups, state.free, state.linear, s, t)
+    for variant in (1, 2, 3):
+        for trade in (False, True):
+            assert _amgu_raw(*args, variant, trade) == merged_runs_amgu_raw(*args, variant, trade)
+
+
+def test_one_pass_pairs_reach_the_special_cases():
+    # equal relevance sets with both sides repeated take the unfiltered
+    # closure; a constant side meets no group
+    universe = VariableUniverse.of_names(["x", "y", "z"])
+    state = SharingTriple.from_names(universe, [["x"], ["x", "y"], ["z"]], linear=["x", "y", "z"])
+    compiled = compile_equations(universe, (Equation(x, y),))
+    pairs = list(one_pass_pairs(universe, compiled))
+    rel = [relevant(state.groups, side.mask) for pair in pairs for side in pair]
+    assert () in rel
+    doubled = pairs[3]
+    assert doubled[0] == doubled[1]
+    assert mask_multiplicity(doubled[0].mask, doubled[0].repeated, state.groups, 0) == 2
+    for variant in (1, 2, 3):
+        args = (universe, state.groups, state.free, state.linear, *doubled, variant, False)
+        assert _amgu_raw(*args) == merged_runs_amgu_raw(*args)
 
 
 def exact_state(universe, base):

@@ -126,6 +126,16 @@ def test_semantic_error_exit_code(problem_file, capsys):
 WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
 
 
+def test_variable_named_true_exits_with_one_message(problem_file, capsys):
+    text = "vars true x\nsharing {x}\npos true -> x\neq x = a()\n"
+    code, out, err = run(["analyze", problem_file(text)], capsys)
+    assert code == 2
+    assert out == ""
+    assert message_lines(err) == [
+        "semantic error: line 1, column 6: 'true' is the formula constant, not a variable name"
+    ]
+
+
 @pytest.mark.parametrize(
     "command, text, flags, expected",
     [
@@ -161,12 +171,14 @@ WIDE24 = wide_vars(24) + "sharing {v0,v1} {v2}\neq v0 = f(v2)\n"
          "semantic error: line 1, column 1: a replayed file needs at least one 'eq' line"),
         ("oracle", None, ["--max-vars", "1000", "--trials", "3"],
          "argument --max-vars: expected at most 64, not '1000'"),
+        ("compare", "vars x  true\nsharing {x}\n", [],
+         "semantic error: line 1, column 9: 'true' is the formula constant, not a variable name"),
     ],
     ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero",
          "oracle-max-vars-zero", "oracle-max-eqs-zero", "oracle-file-bound-zero",
          "oracle-file-bound-negative", "oracle-trials-negative", "oracle-max-depth-negative",
          "eq-nested-past-bound", "replay-e0-nested-past-bound", "oracle-max-depth-past-bound",
-         "replay-no-eq", "oracle-max-vars-past-bound"],
+         "replay-no-eq", "oracle-max-vars-past-bound", "vars-true"],
 )
 def test_parseable_input_never_tracebacks(problem_file, capsys, command, text, flags, expected):
     # the file goes last, after --replay for oracle; other oracle calls take none

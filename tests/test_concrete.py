@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from sharelin.concrete import (
     RationalSolvedForm,
+    UnifyOutcome,
     binding_multiplicity,
     describes,
     groundness_abstraction,
@@ -28,7 +30,7 @@ from sharelin.groundness import (
     truth,
 )
 from sharelin.sharing import SharingTriple
-from sharelin.terms import Compound, Equation, Variable, VariableUniverse, term_vars, variable_counts
+from sharelin.terms import Compound, Equation, Term, Variable, VariableUniverse, term_vars, variable_counts
 
 w, x, y, z = (Variable(n) for n in "wxyz")
 WXYZ = VariableUniverse.of_names(["w", "x", "y", "z"])
@@ -441,3 +443,175 @@ def test_random_systems_uphold_oracle_invariants():
             if is_free(rsf, v):
                 assert mult == 1
             assert (mult == 0) == (not reachable_vars(rsf, v))
+
+
+def deque_unify(equations: Iterable[Equation]) -> UnifyOutcome:
+    """``unify`` before it interned terms into flat node lists, verbatim: a
+    generator recursion interns each term, the variable table is keyed by
+    ``Variable``, and the work queue is a ``deque``.
+
+    Union-find unification over the term graph, without occurs check.
+
+    Cyclic solutions are allowed (rational-tree semantics); the only failure
+    is a clash of functors or arities. Each class is represented by its
+    earliest-created variable, a choice that is immaterial to every exported
+    query.
+    """
+    parent: list[int] = []
+    size: list[int] = []
+    node_var: list[Variable | None] = []
+    node_fun: list[tuple[str, int] | None] = []
+    node_args: list[tuple[int, ...]] = []
+    schema: dict[int, int] = {}
+    var_ids: dict[Variable, int] = {}
+
+    def new_node(v: Variable | None, fun: tuple[str, int] | None, args: tuple[int, ...]) -> int:
+        nid = len(parent)
+        parent.append(nid)
+        size.append(1)
+        node_var.append(v)
+        node_fun.append(fun)
+        node_args.append(args)
+        if fun is not None:
+            schema[nid] = nid
+        return nid
+
+    def intern(t: Term) -> int:
+        if isinstance(t, Variable):
+            nid = var_ids.get(t)
+            if nid is None:
+                nid = new_node(t, None, ())
+                var_ids[t] = nid
+            return nid
+        args = tuple(intern(a) for a in t.args)
+        return new_node(None, (t.functor, t.arity), args)
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    pending: deque[tuple[int, int]] = deque()
+    for eq in equations:
+        pending.append((intern(eq.lhs), intern(eq.rhs)))
+
+    while pending:
+        a, b = pending.popleft()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        sa, sb = schema.get(ra), schema.get(rb)
+        if sa is not None and sb is not None and node_fun[sa] != node_fun[sb]:
+            return UnifyOutcome(None)
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+            sa, sb = sb, sa
+        parent[rb] = ra
+        size[ra] += size[rb]
+        schema.pop(rb, None)
+        if sa is None:
+            if sb is not None:
+                schema[ra] = sb
+        elif sb is not None:
+            pending.extend(zip(node_args[sa], node_args[sb]))
+
+    class_vars: dict[int, list[int]] = {}
+    for v, nid in var_ids.items():
+        class_vars.setdefault(find(nid), []).append(nid)
+    rep: dict[int, Variable] = {
+        root: node_var[min(ids)] for root, ids in class_vars.items()
+    }
+
+    memo: dict[int, Term] = {}
+    rendering: set[int] = set()
+
+    def render_class(root: int) -> Term:
+        # Classes without a variable are rendered structurally; every cycle
+        # in the class graph passes through a variable class, so this
+        # recursion bottoms out (the guard is defensive).
+        if root in rep:
+            return rep[root]
+        if root in memo:
+            return memo[root]
+        if root in rendering:
+            raise RuntimeError("variable-free cycle in the term graph")
+        rendering.add(root)
+        s = schema[root]
+        out = Compound(
+            node_fun[s][0], tuple(render_class(find(c)) for c in node_args[s])
+        )
+        rendering.discard(root)
+        memo[root] = out
+        return out
+
+    bindings: dict[Variable, Term] = {}
+    for root, ids in class_vars.items():
+        rep_var = rep[root]
+        for nid in ids:
+            v = node_var[nid]
+            if v != rep_var:
+                bindings[v] = rep_var
+        s = schema.get(root)
+        if s is not None:
+            bindings[rep_var] = Compound(
+                node_fun[s][0], tuple(render_class(find(c)) for c in node_args[s])
+            )
+    return UnifyOutcome(RationalSolvedForm.of(bindings))
+
+
+# terms over four variables; a/0, b/0, f/1, f/2 and g/2 give functor and
+# arity clashes
+unify_vars = st.sampled_from([w, x, y, z])
+unify_terms = st.recursive(
+    unify_vars | st.sampled_from([Compound("a"), Compound("b")]),
+    lambda inner: st.one_of(
+        inner.map(lambda a: f(a)),
+        st.tuples(inner, inner).map(lambda a: f(*a)),
+        st.tuples(inner, inner).map(lambda a: g_(*a)),
+    ),
+    max_leaves=6,
+)
+# a variable chain, possibly closed into a cycle through a compound
+chains = st.permutations([w, x, y, z]).flatmap(
+    lambda order: st.sampled_from([
+        [Equation(a, b) for a, b in zip(order, order[1:])],
+        [Equation(a, b) for a, b in zip(order, order[1:])] + [Equation(order[-1], f(order[0]))],
+    ])
+)
+unify_systems = st.one_of(
+    st.lists(st.builds(Equation, unify_terms, unify_terms), max_size=5),
+    st.lists(st.builds(Equation, unify_vars, unify_terms), max_size=5),
+    st.tuples(chains, st.lists(st.builds(Equation, unify_terms, unify_terms), max_size=2)).map(
+        lambda parts: parts[0] + parts[1]
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(unify_systems)
+def test_flat_unify_matches_deque_unify(system):
+    assert unify(system) == deque_unify(system)
+
+
+@pytest.mark.parametrize(
+    "system, success",
+    [
+        ([], True),
+        ([Equation(x, f(x))], True),
+        ([Equation(x, f(x, y)), Equation(y, g_(x, x))], True),
+        ([Equation(w, x), Equation(x, y), Equation(y, z)], True),
+        ([Equation(w, x), Equation(x, y), Equation(y, z), Equation(z, f(w))], True),
+        ([Equation(f(x), g_(x, y))], False),
+        ([Equation(f(x), f(x, y))], False),
+        ([Equation(Compound("a"), Compound("b"))], False),
+        ([Equation(x, f(y)), Equation(x, g_(y, y))], False),
+        ([Equation(x, f(x)), Equation(y, f(y)), Equation(x, y)], True),
+    ],
+    ids=["empty", "cycle", "mutual-cycle", "chain", "chain-cycle", "functor-clash",
+         "arity-clash", "constant-clash", "late-clash", "equal-cycles"],
+)
+def test_flat_unify_matches_deque_unify_examples(system, success):
+    outcome = unify(system)
+    assert outcome.success == success
+    assert outcome == deque_unify(system)

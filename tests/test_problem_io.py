@@ -13,6 +13,8 @@ from sharelin.amgu import AlgorithmId, AmguConfig, AnalysisProblem, analyze
 from sharelin.fuzz import FuzzLimits, exact_abstraction, generate_instance
 from sharelin.groundness import parse_formula
 from sharelin.problem_io import (
+    _TOKEN_RE,
+    _Line,
     ParseError,
     SemanticError,
     format_groups,
@@ -231,6 +233,29 @@ def test_trailing_space_is_read_once():
     problem = parse_problem(f"vars x y{pad}\nsharing {{x}}\t{pad}\neq x = y{pad}\n")
     assert parse_equation(f"x = y{pad}", problem.universe, 1) == problem.equations[0]
     assert time.perf_counter() - start < 1.0
+
+
+def listed_column(line: _Line, index: int) -> int:
+    """``_Line.column`` before it stopped the scan at the requested token,
+    verbatim."""
+    starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(line.body, 0, line.end)]
+    return starts[index] if index < len(starts) else len(line.body) + 1
+
+
+# line bodies of identifiers, operators, stray characters and odd spaces
+column_texts = st.lists(
+    st.sampled_from(["vars", "x", "aB_1", "true", "{", "}", "(", ")", ",", "=", "->", "<->",
+                     "&", "X", "1", "\u00e9", " ", "  ", "\t", "\xa0", "\u3000"]),
+    max_size=12,
+).map("".join) | st.text(max_size=20)
+
+
+@settings(max_examples=500, deadline=None)
+@given(column_texts)
+def test_column_scan_stops_like_the_list(body):
+    line = _Line(body, 1)
+    for index in range(len(line.tokens) + 2):
+        assert line.column(index) == listed_column(line, index)
 
 
 def test_output_is_valid_input():

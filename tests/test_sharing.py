@@ -47,6 +47,17 @@ def test_union_closure():
     assert set(union_closure(g(XYZ, "x", "y"))) == set(g(XYZ, "x", "y", "xy"))
 
 
+@pytest.mark.parametrize("guard", [0, 0b101, (1 << 64) - 1])
+def test_union_closure_of_fewer_than_two_generators(guard):
+    # no pair to join: the input is its own closure, as a tuple
+    assert union_closure((), guard) == ()
+    assert union_closure([], guard) == ()
+    for single in ((0,), (0b110,), (1 << 63,)):
+        assert union_closure(single, guard) == single
+        assert union_closure(list(single), guard) == single
+        assert union_closure(set(single), guard) == single
+
+
 def test_pairwise_union():
     assert pairwise_union(g(XYZ, "xy"), g(XYZ, "yz")) == g(XYZ, "xyz")
     assert pairwise_union(g(XYZ, "x"), ()) == ()

@@ -91,6 +91,13 @@ def test_universe_refuses_names_that_are_not_identifiers(name):
         VariableUniverse.of_names(["a", name])
 
 
+def test_universe_refuses_the_formula_constant():
+    # a pos line reads true as the constant, so no variable may be named so
+    with pytest.raises(ValueError, match="'true' is the formula constant"):
+        VariableUniverse.of_names(["x", "true"])
+    assert VariableUniverse.of_names(["truex", "tru", "true_"]).names == ("truex", "tru", "true_")
+
+
 def test_universe_accepts_identifiers():
     names = ["x", "xY", "a_1", "z9_Q"]
     assert VariableUniverse.of_names(names).names == tuple(names)
