@@ -174,11 +174,11 @@ def _amgu_raw(
 ) -> tuple[tuple[int, ...], int, int]:
     """One abstract unification step over raw masks (no normalisation).
 
-    One pass over ``groups`` splits them into the groups relevant to each
+    One loop over ``groups`` splits them into the groups relevant to each
     side and the groups that meet neither, which the step keeps, and ORs
-    the variables of each part. A side's multiplicity reads only its
-    relevant groups: a group that misses the side's mask adds nothing to
-    the side's shared, repeated or paired bits.
+    the variables of each part. A side's multiplicity walks only its
+    relevant groups, a second time: a group that misses the side's mask
+    adds nothing to the side's shared, repeated or paired bits.
     """
     s_mask, t_mask = s.mask, t.mask
     rel_s: list[int] = []

@@ -22,7 +22,7 @@ from itertools import accumulate, count
 from operator import add
 from typing import Iterable, Sequence
 
-from .terms import Equation, VariableUniverse, bit_positions, term_vars
+from .terms import RESERVED_NAME, Equation, VariableUniverse, bit_positions, term_vars
 
 # A truth table has 2**n bits (128 KiB at the bound). This caps every table,
 # and so the models of any formula; a clause form is never enumerated.
@@ -425,7 +425,7 @@ class _FormulaParser:
         name = self.take()
         if name in ("&", "|", "->", "<->", ")"):
             raise FormulaSyntaxError(f"unexpected {name!r}", self.column(self.pos - 1))
-        if name == "true":
+        if name == RESERVED_NAME:
             return ()
         if name not in self.bits:
             raise UnknownFormulaVariable(name, self.column(self.pos - 1))
@@ -454,7 +454,7 @@ def format_formula(f: PosFormula) -> str:
     joined by ``&``, less those whose head lies in their body; else the
     full disjunctive form of the table."""
     if f.is_truth():
-        return "true"
+        return RESERVED_NAME
     if f.clauses is not None:
         names = f.universe.names_of_mask
         parts = []

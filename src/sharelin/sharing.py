@@ -98,10 +98,11 @@ def union_closure(groups: Sequence[int], free_guard: int = 0) -> tuple[int, ...]
     # closure is a guarded union of earlier ones, so it adds nothing;
     # smallest first lets more generators be skipped. Zero generators, or
     # one, are their own closure.
-    if len(groups) < 2:
-        return tuple(groups)
+    unique = set(groups)
+    if len(unique) < 2:
+        return tuple(unique)
     closed: set[int] = set()
-    for g in sorted(set(groups), key=int.bit_count):
+    for g in sorted(unique, key=int.bit_count):
         if g not in closed:
             closed |= {c | g for c in closed if not c & g & free_guard}
             closed.add(g)

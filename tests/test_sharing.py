@@ -52,10 +52,15 @@ def test_union_closure_of_fewer_than_two_generators(guard):
     # no pair to join: the input is its own closure, as a tuple
     assert union_closure((), guard) == ()
     assert union_closure([], guard) == ()
+    assert union_closure(iter(()), guard) == ()
     for single in ((0,), (0b110,), (1 << 63,)):
         assert union_closure(single, guard) == single
         assert union_closure(list(single), guard) == single
         assert union_closure(set(single), guard) == single
+        assert union_closure(single * 3, guard) == single
+        assert union_closure(iter(single), guard) == single
+    # an iterator of several generators is closed like the same sequence
+    assert union_closure(iter((0b01, 0b10)), guard) == union_closure((0b01, 0b10), guard)
 
 
 def test_pairwise_union():
