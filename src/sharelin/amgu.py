@@ -33,7 +33,8 @@ class AlgorithmId(Enum):
     DECOMPOSED = "file"
 
 
-_ORDERS = ("given", "ground-first")
+# the equation schedules of ``AmguConfig.order``
+ORDERS = ("given", "ground-first")
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,8 @@ class AmguConfig:
     file_bound: int = 16
 
     def __post_init__(self) -> None:
-        if self.order not in _ORDERS:
-            raise ValueError(f"order must be one of {_ORDERS}")
+        if self.order not in ORDERS:
+            raise ValueError(f"order must be one of {ORDERS}")
         if self.file_bound < 1:
             raise ValueError("file_bound must be positive")
 
@@ -289,7 +290,7 @@ def amgu3(
 
 
 def decomposed_reference(
-    triple: SharingTriple, s: Side, t: Side, file_bound: int = 16
+    triple: SharingTriple, s: Side, t: Side, file_bound: int = AmguConfig.file_bound
 ) -> SharingTriple:
     """Reference algorithm: split the state into freeness blocks, run the
     plain step on each, and recombine (union of groups, intersection of the

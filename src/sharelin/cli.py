@@ -16,6 +16,7 @@ import time
 from dataclasses import replace
 
 from .amgu import (
+    ORDERS,
     AlgorithmId,
     AmguConfig,
     AnalysisProblem,
@@ -41,17 +42,9 @@ EXIT_PARSE = 1
 EXIT_SEMANTIC = 2
 EXIT_COUNTEREXAMPLE = 3
 
-_ALGO_LABELS = {
-    AlgorithmId.AMGU1: "amgu1",
-    AlgorithmId.AMGU2: "amgu2",
-    AlgorithmId.AMGU3: "amgu3",
-    AlgorithmId.DECOMPOSED: "file",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> AmguConfig:
     return AmguConfig(
-        algorithm=AlgorithmId(getattr(args, "algo", "3")),
+        algorithm=AlgorithmId(getattr(args, "algo", AmguConfig.algorithm.value)),
         trade_efficiency=args.trade_efficiency,
         order=args.order,
         early_prune=not args.no_early_prune,
@@ -112,7 +105,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for algo in AlgorithmId:
         config = replace(base, algorithm=algo)
-        label = _ALGO_LABELS[algo]
+        # a variant prints as amguN, the reference as its --algo spelling
+        label = algo.value if algo is AlgorithmId.DECOMPOSED else f"amgu{algo.value}"
         try:
             rows.append((label, fold_compiled(initial, problem.compiled, config), ""))
         except DecompositionLimitError as exc:
@@ -196,9 +190,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="skip groundness pruning before unification")
     parser.add_argument("--trade-efficiency", action="store_true",
                         help="one closure instead of an intersection of two")
-    parser.add_argument("--order", choices=("given", "ground-first"), default="given")
-    parser.add_argument("--file-bound", type=_positive_int, default=16, metavar="N",
-                        help="group-count bound for the decomposed reference")
+    parser.add_argument("--order", choices=ORDERS, default=AmguConfig.order)
+    parser.add_argument("--file-bound", type=_positive_int, default=AmguConfig.file_bound,
+                        metavar="N", help="group-count bound for the decomposed reference")
 
 
 @functools.cache
@@ -214,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="solve a problem file abstractly")
     p_analyze.add_argument("file")
-    p_analyze.add_argument("--algo", choices=("1", "2", "3", "file"), default="3")
+    p_analyze.add_argument("--algo", choices=[a.value for a in AlgorithmId],
+                           default=AmguConfig.algorithm.value)
     _add_common_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -226,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="randomised soundness checking")
     p_oracle.add_argument("--seed", type=int, default=42)
     p_oracle.add_argument("--trials", type=_non_negative_int, default=200)
-    p_oracle.add_argument("--max-vars", type=_universe_size, default=4)
-    p_oracle.add_argument("--max-depth", type=_term_depth, default=3)
-    p_oracle.add_argument("--max-eqs", type=_positive_int, default=3)
-    p_oracle.add_argument("--file-bound", type=_positive_int, default=8, metavar="N",
-                          help="group-count bound for reference-algorithm checks")
+    p_oracle.add_argument("--max-vars", type=_universe_size, default=FuzzLimits.max_vars)
+    p_oracle.add_argument("--max-depth", type=_term_depth, default=FuzzLimits.max_depth)
+    p_oracle.add_argument("--max-eqs", type=_positive_int, default=FuzzLimits.max_eqs)
+    p_oracle.add_argument("--file-bound", type=_positive_int, default=FuzzLimits.file_bound,
+                          metavar="N", help="group-count bound for reference-algorithm checks")
     p_oracle.add_argument("--replay", metavar="FILE",
                           help="re-check one recorded counterexample file")
     p_oracle.set_defaults(func=cmd_oracle)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .groundness import PosFormula
-from .sharing import SharingTriple
+from .sharing import SharingTriple, group_vars
 from .terms import Compound, Equation, Term, Variable, VariableUniverse, bit_positions, variable_counts
 
 
@@ -328,11 +328,13 @@ def groundness_abstraction(rsf: RationalSolvedForm, universe: VariableUniverse) 
     """Groundness dependencies of the solved form over the universe: the
     :attr:`SolvedFormMasks.groundness` of :func:`solved_form_masks`. Every
     leaf must lie in the universe, as it does for a system over the
-    universe's variables; otherwise the universe's ``ValueError`` is raised."""
+    universe's variables; otherwise the universe's ``ValueError`` is raised,
+    naming the first leaf outside it in :func:`_leaf_masks` order."""
     groundness = solved_form_masks(rsf, universe).groundness
     if groundness is None:
-        for v in universe:  # raise as the universe does, naming the leaf
-            universe.mask_of(reachable_vars(rsf, v))
+        order, once, _ = _leaf_masks(rsf, universe)
+        n = len(universe)
+        universe.index(order[n + bit_positions(group_vars(once[:n]) >> n)[0]])
     return groundness
 
 

@@ -27,11 +27,12 @@ from .amgu import (
 )
 from .concrete import RationalSolvedForm, SolvedFormMasks, solved_form_masks, unify
 from .groundness import trim
-from .problem_io import SemanticError, format_term, parse_equation, parse_problem, print_problem
-from .sharing import SharingTriple, abstract_multiplicity, group_vars, pairwise_union, relevant
-from .terms import Compound, Equation, Term, Variable, VariableUniverse
+from .problem_io import SemanticError, format_equation, parse_equation, parse_problem, print_problem
+from .sharing import SharingTriple, group_vars, mask_multiplicity, pairwise_union, relevant
+from .terms import Compound, Equation, EquationSet, Term, Variable, VariableUniverse
 
 FUNCTORS = (("a", 0), ("f", 1), ("g", 2), ("h", 3))
+CONSTANT = Compound("a")  # the leaf a term draws in place of a variable
 MAX_PERMUTATIONS = 6
 
 
@@ -75,11 +76,9 @@ def random_term(rng: random.Random, variables: tuple[Variable, ...], depth: int)
     if depth <= 0 or rng.random() < 0.35:
         if variables and rng.random() < 0.8:
             return rng.choice(variables)
-        return Compound("a")
+        return CONSTANT
     functor, arity = rng.choice(FUNCTORS)
-    return Compound(
-        functor, tuple(random_term(rng, variables, depth - 1) for _ in range(arity))
-    )
+    return Compound(functor, tuple([random_term(rng, variables, depth - 1) for _ in range(arity)]))
 
 
 def random_equation(rng: random.Random, variables: tuple[Variable, ...], depth: int) -> Equation:
@@ -143,16 +142,13 @@ def exact_abstraction(universe: VariableUniverse, equations: tuple[Equation, ...
     return rsf, _exact_state(exact, universe), exact.groundness
 
 
-def _counterexample_text(instance: Instance, triple: SharingTriple, formula, equations) -> str:
-    problem = AnalysisProblem(instance.universe, triple, formula, tuple(equations))
-    preamble = "".join(
-        f"# e0 {_format_eq(eq)}\n" for eq in instance.base
-    )
-    return preamble + print_problem(problem)
-
-
-def _format_eq(eq: Equation) -> str:
-    return f"{format_term(eq.lhs)} = {format_term(eq.rhs)}"
+def replay_text(instance: Instance, equations: EquationSet) -> str:
+    """The file that :func:`replay` reads for the instance with its
+    equations in the given order: a ``# e0`` line per base equation, then
+    the base's exact abstraction as a problem over the equations."""
+    exact, universe = instance.base_exact, instance.universe
+    problem = AnalysisProblem(universe, _exact_state(exact, universe), exact.groundness, equations)
+    return "".join(f"# e0 {format_equation(eq)}\n" for eq in instance.base) + print_problem(problem)
 
 
 def _result_invariants(result: SharingTriple) -> str | None:
@@ -209,9 +205,7 @@ def check_instance(
         step_exact = abstract(unify(instance.base + step).solved_form)
 
     def record(prop: str, detail: str, equations=instance.equations) -> None:
-        violations.append(
-            Violation(trial, prop, detail, _counterexample_text(instance, triple0, formula0, equations))
-        )
+        violations.append(Violation(trial, prop, detail, replay_text(instance, equations)))
 
     # the given order is compiled once; every fold reads an order as the
     # permuted equations and their compiled forms, the given order first
@@ -248,9 +242,8 @@ def check_instance(
         if abstract(unify(shuffled).solved_form) != full_exact:
             record("unify-order-insensitive", "permuted system abstracts differently")
 
-    # single-step checks on the first equation
-    s, t = step[0].lhs, step[0].rhs
-    step_eq = compiled[0]
+    # single-step checks on the first equation, read from its summaries
+    step_eq = s, t = compiled[0]
     step_sat = step_exact is not None
     algorithms = (("amgu1", amgu1), ("amgu2", amgu2), ("amgu3", amgu3))
     results = {}
@@ -262,7 +255,7 @@ def check_instance(
             record(f"{name}-invariants", bad, step)
         if step_sat and not step_exact.described_by(result):
             record(f"{name}-soundness", "result does not describe the solved form", step)
-        widened = fn(triple0, *step_eq, trade_efficiency=True)
+        widened = fn(triple0, s, t, trade_efficiency=True)
         if not set(result.groups) <= set(widened.groups):
             record(f"{name}-trade-widens", "trading efficiency produced a smaller group set", step)
         if step_sat and not step_exact.described_by(widened):
@@ -287,12 +280,10 @@ def check_instance(
 
     # independence: with variable-disjoint relevant groups and both sides
     # linear, no closure is needed at all
-    s_mask = universe.term_mask(s)
-    t_mask = universe.term_mask(t)
-    rel_s = relevant(triple0.groups, s_mask)
-    rel_t = relevant(triple0.groups, t_mask)
-    chi_s = abstract_multiplicity(s, triple0.groups, triple0.linear, universe)
-    chi_t = abstract_multiplicity(t, triple0.groups, triple0.linear, universe)
+    rel_s = relevant(triple0.groups, s.mask)
+    rel_t = relevant(triple0.groups, t.mask)
+    chi_s = mask_multiplicity(s.mask, s.repeated, triple0.groups, triple0.linear)
+    chi_t = mask_multiplicity(t.mask, t.repeated, triple0.groups, triple0.linear)
     if group_vars(rel_s) & group_vars(rel_t) == 0 and chi_s == 1 and chi_t == 1:
         count("independence-checked")
         removed = set(rel_s) | set(rel_t)

@@ -22,7 +22,7 @@ from itertools import accumulate, count
 from operator import add
 from typing import Iterable, Sequence
 
-from .terms import RESERVED_NAME, Equation, VariableUniverse, bit_positions, term_vars
+from .terms import IDENTIFIER, RESERVED_NAME, Equation, VariableUniverse, bit_positions
 
 # A truth table has 2**n bits (128 KiB at the bound). This caps every table,
 # and so the models of any formula; a clause form is never enumerated.
@@ -75,18 +75,6 @@ class PosFormula:
         self.universe = universe
         self.clauses = clauses
         self._table = table
-
-    @classmethod
-    def of_models(cls, universe: VariableUniverse, models: Iterable[int]) -> "PosFormula":
-        _bounded_size(len(universe))
-        full = universe.full_mask
-        bits = bytearray(((1 << len(universe)) + 7) // 8)
-        for m in models:
-            m = int(m)
-            if m & ~full:
-                raise ValueError("model mentions a variable outside the universe")
-            bits[m >> 3] |= 1 << (m & 7)
-        return _of_table(universe, int.from_bytes(bits, "little"))
 
     @classmethod
     def of_clauses(cls, universe: VariableUniverse, clauses: Iterable[Clause]) -> "PosFormula":
@@ -232,11 +220,7 @@ def biconditional(universe: VariableUniverse, left_mask: int, right_mask: int) -
 def equation_groundness(eq: Equation, universe: VariableUniverse) -> PosFormula:
     """Groundness consequence of solving one equation: grounding every
     variable of one side grounds the other, in any unifier."""
-    return biconditional(
-        universe,
-        universe.mask_of(term_vars(eq.lhs)),
-        universe.mask_of(term_vars(eq.rhs)),
-    )
+    return biconditional(universe, universe.term_mask(eq.lhs), universe.term_mask(eq.rhs))
 
 
 def conjoin(f: PosFormula, g: PosFormula) -> PosFormula:
@@ -287,7 +271,7 @@ def trim(f: PosFormula, groups: Sequence[int]) -> tuple[int, ...]:
 
 # One match per token: an operator, a parenthesis or an identifier, else any
 # other non-space character on its own, which no formula holds.
-_TOKEN_RE = re.compile(r"\s*(<->|->|[()&|~]|[a-z][a-zA-Z0-9_]*|\S)")
+_TOKEN_RE = re.compile(rf"\s*(<->|->|[()&|~]|{IDENTIFIER}|\S)")
 _OPERATORS = frozenset(("<->", "->", "(", ")", "&", "|", "~"))
 
 

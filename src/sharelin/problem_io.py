@@ -9,10 +9,10 @@ Format (line oriented; ``#`` starts a comment)::
     pos x -> (y & z)       # optional groundness formula, default true
     eq x = f(y, z)         # any number, order preserved
 
-Sections appear in exactly that order. Identifiers are
-``[a-z][a-zA-Z0-9_]*``. A bare identifier in a term must be a declared
-variable; constants are zero-argument applications, written ``a()``. A
-term nests at most :data:`MAX_TERM_DEPTH` argument lists. The
+Sections appear in exactly that order. Identifiers match
+:data:`sharelin.terms.IDENTIFIER`. A bare identifier in a term must be a
+declared variable; constants are zero-argument applications, written
+``a()``. A term nests at most :data:`MAX_TERM_DEPTH` argument lists. The
 canonical printer emits text this parser accepts, so analysis results are
 themselves valid inputs.
 """
@@ -35,7 +35,9 @@ from .groundness import (
     parse_formula,
 )
 from .sharing import SharingTriple
-from .terms import MAX_VARS, RESERVED_NAME, Compound, Equation, Term, Variable, VariableUniverse
+from .terms import (
+    IDENTIFIER, MAX_VARS, RESERVED_NAME, Compound, Equation, Term, Variable, VariableUniverse,
+)
 
 
 class ProblemError(Exception):
@@ -57,7 +59,7 @@ class SemanticError(ProblemError):
 
 # One match per token: an identifier, or any other non-space character on
 # its own.
-_TOKEN_RE = re.compile(r"\s*([a-z][a-zA-Z0-9_]*|\S)")
+_TOKEN_RE = re.compile(rf"\s*({IDENTIFIER}|\S)")
 # Terms are walked recursively (parsing, hashing, printing, concrete
 # unification), so nesting is bounded well inside Python's recursion limit.
 MAX_TERM_DEPTH = 256
@@ -273,6 +275,11 @@ def format_term(t: Term) -> str:
     return f"{t.functor}({', '.join(format_term(a) for a in t.args)})"
 
 
+def format_equation(eq: Equation) -> str:
+    """``lhs = rhs``, as :func:`parse_equation` reads it back."""
+    return f"{format_term(eq.lhs)} = {format_term(eq.rhs)}"
+
+
 # flip(b) = 255 - (b with its eight bits in reverse order), an involution;
 # and each byte value's set bits
 _FLIP = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -317,11 +324,6 @@ def format_sharing(triple: SharingTriple) -> str:
     return (text[2:] + "}").replace("{,", "{")
 
 
-def format_groups(triple: SharingTriple) -> list[str]:
-    """The printed groups in canonical order (see :func:`format_sharing`)."""
-    return format_sharing(triple).split(" ")
-
-
 def format_triple(triple: SharingTriple) -> list[str]:
     """The ``vars``/``sharing``/``free``/``lin`` lines for a state."""
     universe = triple.universe
@@ -341,5 +343,5 @@ def print_problem(problem: AnalysisProblem) -> str:
     if problem.formula is not None and not problem.formula.is_truth():
         lines.append("pos " + format_formula(problem.formula))
     for eq in problem.equations:
-        lines.append(f"eq {format_term(eq.lhs)} = {format_term(eq.rhs)}")
+        lines.append(f"eq {format_equation(eq)}")
     return "\n".join(lines) + "\n"

@@ -107,8 +107,9 @@ class TermSummary(NamedTuple):
 
 
 MAX_VARS = 64  # the most variables a universe may hold
-# a variable name in a universe: an identifier of the problem-file grammar
-_IDENTIFIER_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+# an identifier of both grammars, and so a variable name in a universe
+IDENTIFIER = r"[a-z][a-zA-Z0-9_]*"
+_IDENTIFIER_RE = re.compile(IDENTIFIER)
 # an identifier that a ``pos`` line always reads as the formula constant
 RESERVED_NAME = "true"
 
@@ -118,9 +119,9 @@ class VariableUniverse:
     """Finite ordered set of variables; declaration order fixes bit positions.
 
     Every set of variables handled by the analysis is represented as a
-    bitmask over this order. Names are identifiers, ``[a-z][a-zA-Z0-9_]*``,
-    other than ``true``, so every universe prints as a problem file that
-    parses back, ``pos`` line included.
+    bitmask over this order. Names match :data:`IDENTIFIER` and are not
+    ``true``, so every universe prints as a problem file that parses back,
+    ``pos`` line included.
     """
 
     variables: tuple[Variable, ...]
@@ -176,7 +177,7 @@ class VariableUniverse:
 
     def term_mask(self, t: Term) -> int:
         """Bitmask of ``var(t)``; raises when a variable escapes the universe."""
-        return self.mask_of(term_vars(t))
+        return self.summarize(t).mask
 
     def summarize(self, t: Term) -> TermSummary:
         """The :class:`TermSummary` of ``t``, in one walk; raises when a

@@ -73,6 +73,11 @@ U6 = VariableUniverse.of_names(["u", "v", "w", "x", "y", "z"])
 XYZ = VariableUniverse.of_names(["x", "y", "z"])
 
 
+def table_of(universe, models):
+    """The formula whose models are ``models``, held as a truth table."""
+    return PosFormula(universe, table=sum(1 << m for m in set(models)))
+
+
 def f(*args):
     return Compound("f", args)
 
@@ -386,7 +391,7 @@ def pos_formulas(draw, universe):
     full = universe.full_mask
     masks = st.integers(min_value=0, max_value=full)
     if draw(st.booleans()):
-        return PosFormula.of_models(universe, draw(st.lists(masks, max_size=20)) + [full])
+        return table_of(universe, draw(st.lists(masks, max_size=20)) + [full])
     formula = conjunction_of(universe, draw(masks) if draw(st.booleans()) else 0)
     for left, right in draw(st.lists(st.tuples(masks, masks), max_size=3)):
         formula = conjoin(formula, biconditional(universe, left, right))
@@ -495,7 +500,7 @@ def test_clause_pruning_matches_model_filter(data):
     expected = demote_groupless_free(reference)
     assert early_prune(formula, equations, state) == expected
     # the same function as an explicit model set goes through the model filter
-    explicit = PosFormula.of_models(universe, (formula or truth(universe)).models)
+    explicit = table_of(universe, (formula or truth(universe)).models)
     assert early_prune(explicit, equations, state) == expected
     assert model_filter_early_prune(explicit, equations, state) == reference
 

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -17,9 +18,8 @@ from sharelin.fuzz import (
     FuzzLimits,
     FuzzReport,
     Violation,
-    _counterexample_text,
-    exact_abstraction,
     generate_instance,
+    replay_text,
 )
 from sharelin.problem_io import MAX_TERM_DEPTH, parse_problem
 
@@ -242,11 +242,30 @@ def test_wide_round_trip_files_replay(problem_file, capsys):
         for trial in range(5):
             instance = generate_instance(rng, limits)
             wide += len(instance.universe) > 20
-            _, triple, formula = exact_abstraction(instance.universe, instance.base)
-            text = _counterexample_text(instance, triple, formula, instance.equations)
+            text = replay_text(instance, instance.equations)
             code, out, err = run(["oracle", "--replay", problem_file(text)], capsys)
             assert code == 0 and out.endswith("counterexamples: 0\n"), (seed, trial, err)
     assert wide == 134
+
+
+def test_truth_table_pos_lines_print_like_their_clauses(tmp_path, capsys):
+    # every 5th seed-1 prune-wide file with a pos line, at 16, 18 and 20
+    # variables: "pos (P) | (P)" has the models of P, held as a truth table
+    from perfbench.workloads import prune_wide
+
+    problems = [op.problem for op in prune_wide(1, str(tmp_path)).ops]
+    with_pos = [p for p in problems if "\npos " in p.text][::5]
+    assert len(with_pos) == 12 and {len(p.universe) for p in with_pos} == {16, 18, 20}
+    for problem in with_pos:
+        table = re.sub(r"^pos (.*)$", r"pos (\1) | (\1)", problem.text, flags=re.MULTILINE)
+        assert parse_problem(table).formula.clauses is None
+        paths = []
+        for name, text in ((problem.name, problem.text), (problem.name + "-table", table)):
+            paths.append(tmp_path / f"{name}.sl")
+            paths[-1].write_text(text)
+        for command in ("analyze", "compare"):
+            clause_run, table_run = (run([command, str(path)], capsys) for path in paths)
+            assert clause_run[:2] == table_run[:2] and clause_run[0] == 0, problem.name
 
 
 def test_oracle_at_64_variables_closes_dense_states(capsys):
@@ -488,7 +507,6 @@ def test_oracle_counterexample_exit_code(problem_file, capsys, monkeypatch):
 def round_trip_text():
     """The exact counterexample file of a four-variable instance whose base
     grounds nothing yet makes ``w`` depend on ``x``, ``y`` and ``z``."""
-    from sharelin.fuzz import _counterexample_text, exact_abstraction
     from sharelin.fuzz import Instance
     from sharelin.terms import Compound, Equation, Variable, VariableUniverse
 
@@ -498,8 +516,7 @@ def round_trip_text():
         (Equation(w, Compound("f", (x, y, z))),),
         (Equation(w, Compound("f", (z, x, y))),),
     )
-    _, triple, formula = exact_abstraction(instance.universe, instance.base)
-    return _counterexample_text(instance, triple, formula, instance.equations)
+    return replay_text(instance, instance.equations)
 
 
 def test_oracle_replay_round_trip(problem_file, tmp_path, capsys):

@@ -1,6 +1,9 @@
 """The concrete oracle: unification, reachability, abstraction queries."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from typing import Iterable
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sharelin
 from sharelin.concrete import (
     RationalSolvedForm,
     UnifyOutcome,
@@ -35,6 +39,11 @@ from sharelin.terms import Compound, Equation, Term, Variable, VariableUniverse,
 w, x, y, z = (Variable(n) for n in "wxyz")
 WXYZ = VariableUniverse.of_names(["w", "x", "y", "z"])
 XY = VariableUniverse.of_names(["x", "y"])
+
+
+def table_of(universe, models):
+    """The formula whose models are ``models``, held as a truth table."""
+    return PosFormula(universe, table=sum(1 << m for m in set(models)))
 
 
 def f(*args):
@@ -331,7 +340,7 @@ def enumerated_groundness_abstraction(
             if value:
                 mask |= universe.bit(x)
         models.add(mask)
-    return PosFormula.of_models(universe, models)
+    return table_of(universe, models)
 
 
 @settings(max_examples=300, deadline=None)
@@ -349,6 +358,42 @@ def test_clause_groundness_matches_enumeration(seed, max_vars, max_depth):
 def test_groundness_abstraction_rejects_a_leaf_outside_the_universe():
     with pytest.raises(ValueError, match="'y' is not in the universe"):
         groundness_abstraction(RationalSolvedForm.of({x: f(y)}), VariableUniverse.of_names(["x"]))
+
+
+OUTSIDE_LEAVES = """
+from sharelin.concrete import RationalSolvedForm, groundness_abstraction
+from sharelin.groundness import equation_groundness
+from sharelin.terms import Compound, Equation, Variable, VariableUniverse
+
+x, *leaves = (Variable(n) for n in "xpqrs")
+t = Compound("f", tuple(leaves))
+u = VariableUniverse.of_names(["x"])
+for check in (
+    lambda: groundness_abstraction(RationalSolvedForm.of({x: t}), u),
+    lambda: u.term_mask(t),
+    lambda: equation_groundness(Equation(x, t), u),
+):
+    try:
+        check()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_the_outside_variable_named_does_not_depend_on_the_hash_seed():
+    # each check once iterated a frozenset of variables, so the name it
+    # raised changed with PYTHONHASHSEED
+    src = os.path.dirname(os.path.dirname(sharelin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in range(4):
+        child = subprocess.run(
+            [sys.executable, "-c", OUTSIDE_LEAVES], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)), check=True,
+        )
+        outputs.add(child.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().splitlines() == ["variable 's' is not in the universe"] * 3
 
 
 class TestFreeness:

@@ -37,6 +37,7 @@ from sharelin.fuzz import (
     exact_abstraction,
     generate_instance,
     replay,
+    replay_text,
     run_trials,
 )
 from sharelin.sharing import SharingTriple
@@ -239,10 +240,7 @@ def test_oracle_runs_each_distinct_step_once(monkeypatch):
 
 
 def test_replay_abstracts_each_system_once(monkeypatch):
-    from sharelin.fuzz import _counterexample_text
-
-    _, triple, formula = exact_abstraction(NEEDS_CLOSURE.universe, NEEDS_CLOSURE.base)
-    text = _counterexample_text(NEEDS_CLOSURE, triple, formula, NEEDS_CLOSURE.equations)
+    text = replay_text(NEEDS_CLOSURE, NEEDS_CLOSURE.equations)
     leaf_masks = concrete_mod._leaf_masks
     calls = []
 
@@ -320,10 +318,7 @@ def test_counterexample_replays_and_reproduces(monkeypatch):
 def test_replay_flags_stale_state():
     report_violations = check_instance(NEEDS_CLOSURE, FuzzLimits())
     assert report_violations == []
-    from sharelin.fuzz import _counterexample_text, exact_abstraction
-
-    _, triple, formula = exact_abstraction(NEEDS_CLOSURE.universe, NEEDS_CLOSURE.base)
-    text = _counterexample_text(NEEDS_CLOSURE, triple, formula, NEEDS_CLOSURE.equations)
+    text = replay_text(NEEDS_CLOSURE, NEEDS_CLOSURE.equations)
     tampered = text.replace("sharing {} {w,x} {w,y} {w,z}", "sharing {} {w,x}")
     flagged = replay(tampered)
     assert any(v.prop == "replay-state-mismatch" for v in flagged)

@@ -34,6 +34,11 @@ UXYV = VariableUniverse.of_names(["u", "v", "x", "y"])
 XYZ = VariableUniverse.of_names(["x", "y", "z"])
 
 
+def table_of(universe, models):
+    """The formula whose models are ``models``, held as a truth table."""
+    return PosFormula(universe, table=sum(1 << m for m in set(models)))
+
+
 def model_names(f):
     return {f.universe.names_of_mask(m) for m in f.models}
 
@@ -104,7 +109,7 @@ def _formulas(universe):
     n = len(universe)
     full = (1 << n) - 1
     return st.builds(
-        lambda extra: PosFormula.of_models(universe, set(extra) | {full}),
+        lambda extra: table_of(universe, set(extra) | {full}),
         st.sets(st.integers(min_value=0, max_value=full), max_size=8),
     )
 
@@ -149,7 +154,7 @@ def _printable_formulas(draw):
             lambda c: (c[0], c[1] & c[0] if c[2] else c[1])
         )
         return PosFormula.of_clauses(universe, draw(st.lists(clause, max_size=6)))
-    return PosFormula.of_models(universe, draw(st.lists(masks, max_size=40)) + [full])
+    return table_of(universe, draw(st.lists(masks, max_size=40)) + [full])
 
 
 @settings(max_examples=300, deadline=None)
@@ -203,7 +208,7 @@ def test_parse_models_match_assignment_evaluation(tree):
         with pytest.raises(NotPositiveError):
             parse_formula(_render(tree), U8)
     else:
-        assert parse_formula(_render(tree), U8) == PosFormula.of_models(U8, models)
+        assert parse_formula(_render(tree), U8) == table_of(U8, models)
 
 
 # definite pos lines: a '&' chain of parts, each ("conj", c), ("->", c, c) or
@@ -279,7 +284,7 @@ def test_definite_lines_parse_to_clauses(args):
     assert f.clauses is not None
     models = tuple(m for m in range(1 << n) if _definite_holds(line, m))
     assert f.models == models
-    explicit = PosFormula.of_models(u, models)
+    explicit = table_of(u, models)
     assert f == explicit and hash(f) == hash(explicit)
     g = parse_formula(_render_non_definite(line), u)
     assert g.clauses is None
@@ -324,20 +329,20 @@ def _np_assignments(universe):
 
 
 def reference_truth(universe):
-    return PosFormula.of_models(universe, _np_assignments(universe).tolist())
+    return table_of(universe, _np_assignments(universe).tolist())
 
 
 def reference_conjunction_of(universe, var_mask):
     masks = _np_assignments(universe)
     sel = (masks & np.uint64(var_mask)) == np.uint64(var_mask)
-    return PosFormula.of_models(universe, masks[sel].tolist())
+    return table_of(universe, masks[sel].tolist())
 
 
 def reference_biconditional(universe, left_mask, right_mask):
     masks = _np_assignments(universe)
     lv = (masks & np.uint64(left_mask)) == np.uint64(left_mask)
     rv = (masks & np.uint64(right_mask)) == np.uint64(right_mask)
-    return PosFormula.of_models(universe, masks[lv == rv].tolist())
+    return table_of(universe, masks[lv == rv].tolist())
 
 
 def _universe(n):
@@ -391,8 +396,6 @@ def test_universe_size_guard():
     with pytest.raises(UniverseTooLargeError):
         parse_formula("v0 | v1", big)
     with pytest.raises(UniverseTooLargeError):
-        PosFormula.of_models(big, [big.full_mask])
-    with pytest.raises(UniverseTooLargeError):
         PosFormula(big, clauses=((1, 2),)).table
 
 
@@ -422,7 +425,7 @@ def test_formula_survives_problem_round_trip():
 # The model-set branches of conjoin, entailed_ground, trim and
 # PosFormula.__eq__ before a formula was held as its truth table, verbatim.
 def model_set_conjoin(f, g):
-    return PosFormula.of_models(f.universe, set(f.models) & set(g.models))
+    return table_of(f.universe, set(f.models) & set(g.models))
 
 
 def model_set_entailed_ground(f):
@@ -447,7 +450,7 @@ def _tables_or_clauses(draw, universe):
     full = universe.full_mask
     masks = st.integers(0, full)
     if draw(st.booleans()):
-        return PosFormula.of_models(universe, draw(st.lists(masks, max_size=40)) + [full])
+        return table_of(universe, draw(st.lists(masks, max_size=40)) + [full])
     return PosFormula.of_clauses(universe, draw(st.lists(st.tuples(masks, masks), max_size=5)))
 
 
@@ -458,7 +461,7 @@ def test_table_operations_match_model_set_copies(data):
     f = data.draw(_tables_or_clauses(u), label="f")
     # the same function in the other form, or another formula
     g = data.draw(
-        st.one_of(st.just(PosFormula.of_models(u, f.models)), _tables_or_clauses(u)), label="g"
+        st.one_of(st.just(table_of(u, f.models)), _tables_or_clauses(u)), label="g"
     )
     groups = tuple(data.draw(st.lists(st.integers(0, u.full_mask), max_size=12), label="groups"))
     conjoined = conjoin(f, g)

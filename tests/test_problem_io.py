@@ -17,7 +17,6 @@ from sharelin.problem_io import (
     _Line,
     ParseError,
     SemanticError,
-    format_groups,
     format_sharing,
     format_term,
     format_triple,
@@ -108,6 +107,16 @@ class TestParseErrors:
     def test_bad_formula(self):
         with pytest.raises(ParseError):
             parse_problem("vars x\nsharing {x}\npos x &\n")
+
+    def test_end_of_line_columns(self):
+        # a problem line ends one past its trailing blanks; a formula ends
+        # one past its last token
+        assert problem_error("vars x\nsharing {x}\neq x =   \n") == (
+            ParseError, "expected term, found end of line", 3, 10
+        )
+        assert problem_error("vars x\nsharing {x}\npos x &   \n") == (
+            ParseError, "unexpected end of formula", 3, 8
+        )
 
 
 class TestSemanticErrors:
@@ -290,7 +299,7 @@ def test_set_bit_walk_prints_like_the_position_scan(groups, rest):
     triple = SharingTriple.make(WIDE, [*groups, 1 << 63 | rest], rest, rest >> 1)
     order = sorted(triple.groups, key=lambda g: scanned_key(g, 64))
     texts = ["{" + ",".join(scanned_names(WIDE, g)) + "}" for g in order]
-    assert format_groups(triple) == texts
+    assert format_sharing(triple).split(" ") == texts
     for m in (*triple.groups, triple.free, triple.linear):
         assert WIDE.names_of_mask(m) == scanned_names(WIDE, m)
         assert WIDE.vars_of_mask(m) == tuple(Variable(n) for n in scanned_names(WIDE, m))
@@ -301,7 +310,8 @@ def _printing_key(mask: int) -> tuple[int, tuple[int, ...]]:
 
 
 def position_key_groups(triple: SharingTriple) -> list[str]:
-    """``format_groups`` before it sorted by one int key, verbatim."""
+    """The groups ``format_sharing`` printed before it sorted by one int key,
+    verbatim."""
     names = triple.universe.names
     return [
         "{" + ",".join([names[i] for i in positions]) + "}"
@@ -336,7 +346,7 @@ def printed_states(draw):
 @settings(max_examples=300, deadline=None)
 @given(printed_states())
 def test_int_key_prints_like_the_position_key(triple):
-    assert format_groups(triple) == position_key_groups(triple)
+    assert format_sharing(triple).split(" ") == position_key_groups(triple)
     text = "\n".join(format_triple(triple)) + "\n"
     assert parse_problem(text).initial == triple
 
@@ -349,7 +359,7 @@ def test_int_key_orders_every_group_of_a_width(n):
     low = (1 << min(n, 8)) - 1
     groups = [*range(low + 1), 1 << (n - 1), *(1 << i for i in range(n))]
     triple = SharingTriple.make(universe, groups, 0, 0)
-    assert format_groups(triple) == position_key_groups(triple)
+    assert format_sharing(triple).split(" ") == position_key_groups(triple)
     assert parse_problem("\n".join(format_triple(triple)) + "\n").initial == triple
 
 
@@ -359,7 +369,8 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def int_key_groups(triple: SharingTriple) -> list[str]:
-    """``format_groups`` before it printed one sorted byte stream, verbatim."""
+    """The groups ``format_sharing`` printed before it printed one sorted byte
+    stream, verbatim."""
     names = triple.universe.names
     width = (len(names) + 7) // 8
     shift = 8 * width
@@ -390,7 +401,6 @@ def int_key_groups(triple: SharingTriple) -> list[str]:
 @given(printed_states())
 def test_byte_stream_prints_like_the_int_key(triple):
     expected = int_key_groups(triple)
-    assert format_groups(triple) == expected
     assert format_sharing(triple) == " ".join(expected)
 
 
@@ -408,4 +418,4 @@ def test_byte_stream_prints_closure_results_like_the_int_key():
             for algo in (AlgorithmId.AMGU1, AlgorithmId.AMGU2, AlgorithmId.AMGU3):
                 result = analyze(problem, AmguConfig(algorithm=algo, early_prune=False))
                 assert len(result.groups) > 1000
-                assert format_groups(result) == int_key_groups(result)
+                assert format_sharing(result).split(" ") == int_key_groups(result)

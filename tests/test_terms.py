@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sharelin import groundness, problem_io
 from sharelin.terms import (
     Compound,
     Variable,
@@ -101,6 +102,12 @@ def test_universe_refuses_the_formula_constant():
 def test_universe_accepts_identifiers():
     names = ["x", "xY", "a_1", "z9_Q"]
     assert VariableUniverse.of_names(names).names == tuple(names)
+
+
+def test_token_regexes_embed_the_identifier():
+    # both tokenizers build their regexes from terms.IDENTIFIER
+    assert problem_io._TOKEN_RE.pattern == r"\s*([a-z][a-zA-Z0-9_]*|\S)"
+    assert groundness._TOKEN_RE.pattern == r"\s*(<->|->|[()&|~]|[a-z][a-zA-Z0-9_]*|\S)"
 
 
 def test_functor_identity_includes_arity():

@@ -26,12 +26,24 @@ reruns a fixed slice of it. The corpus:
   removed;
 * a copy with CRLF line ends of every 7th problem file of each workload at
   seed 1 (one ``text`` line each), written in binary, run by ``analyze``
-  and by ``compare``.
+  and by ``compare``;
+* ``analyze --order ground-first``, ``analyze --trade-efficiency`` and
+  ``compare --file-bound 4`` on every problem file of seed 1;
+* a truth-table copy of every 5th seed-1 ``prune-wide`` file that has a
+  ``pos`` line, each ``pos P`` rewritten as ``pos (P) | (P)`` (one
+  ``text`` line each), run by ``analyze`` and by ``compare``;
+* each file of :data:`BROKEN` (one ``text`` line each), which the CLI
+  rejects with a parse, semantic, file or limit error;
+* ``--help`` of the parser and of each subcommand, then each usage error
+  of :data:`USAGE_ERRORS`.
 
-That is 491 texts and 3986 calls. Problem files go to a temporary
-directory, and a printed argv names a file by its seed and base name, or
-by its oracle seed and trial. The corpus takes 17-40 s on a 2-vCPU x86
-host.
+Each call of the last four sections that exits non-zero prints the
+sha256 of its stderr after that of its stdout; argparse reads the
+terminal width from ``COLUMNS``, which the corpus sets to 80. That is 532
+texts and 4397 calls. Problem files go to a temporary directory, and a
+printed argv names a file by its seed and base name, by its oracle seed
+and trial, or by its name under ``broken/``. The corpus takes 15-45 s on
+a 2-vCPU x86 host.
 """
 
 from __future__ import annotations
@@ -41,20 +53,95 @@ import hashlib
 import io
 import os
 import random
+import re
 import sys
 import tempfile
+from unittest import mock
 
 SEEDS = (1, 2)
 ORACLE_SEEDS = range(1, 151)
 WIDE_ORACLE_SEEDS = range(60)
 REPLAY_SEEDS = range(1, 51)
 REPLAY_TRIALS = 5
-CRLF_SEED = 1
+COPY_SEED = 1  # the seed whose files also run as copies and with more flags
 CRLF_EVERY = 7
 VARIANTS = (
     *(("analyze", "--algo", algo) for algo in ("1", "2", "3", "file")),
     ("compare",),
 )
+FLAG_VARIANTS = (
+    ("analyze", "--order", "ground-first"),
+    ("analyze", "--trade-efficiency"),
+    ("compare", "--file-bound", "4"),
+)
+TABLE_WORKLOAD = "prune-wide"
+TABLE_EVERY = 5
+_WIDE = " ".join(f"v{i}" for i in range(65))
+# (command, name, text): one file per error the CLI reports; files under
+# ``broken/`` are named relative to the working directory, since a file
+# error prints its path
+BROKEN = (
+    ("analyze", "no-vars", "# a comment only\n"),
+    ("analyze", "no-sharing", "vars x\n"),
+    ("analyze", "vars-not-first", "sharing {}\n"),
+    ("analyze", "unknown-section", "vars x\nshare {x}\n"),
+    ("analyze", "section-order", "vars x\nsharing {x}\nlin x\nfree x\n"),
+    ("analyze", "eq-before-sharing", "vars x\neq x = x\n"),
+    ("analyze", "vars-empty", "vars\nsharing {}\n"),
+    ("analyze", "group-brace", "vars x\nsharing x\n"),
+    # the column is one past the trailing blanks
+    ("analyze", "eq-end-of-line", "vars x\nsharing {x}\neq x =   \n"),
+    ("analyze", "eq-trailing-text", "vars x y\nsharing {x}\neq x = y z\n"),
+    ("analyze", "group-undeclared", "vars x\nsharing {y}\n"),
+    ("analyze", "eq-undeclared", "vars x\nsharing {x}\neq x = y\n"),
+    ("analyze", "eq-variable-functor", "vars x\nsharing {x}\neq x(a()) = x\n"),
+    ("analyze", "eq-nested-past-bound",
+     "vars x\nsharing {x}\neq x = " + "f(" * 257 + "x" + ")" * 257 + "\n"),
+    ("analyze", "vars-twice", "vars x y x\nsharing {}\n"),
+    ("analyze", "vars-reserved", "vars x true\nsharing {}\n"),
+    ("analyze", "vars-too-many", f"vars {_WIDE}\nsharing {{}}\n"),
+    # the column is one past the last token
+    ("analyze", "pos-end-of-line", "vars x\nsharing {x}\npos x &   \n"),
+    ("analyze", "pos-empty", "vars x\nsharing {x}\npos\n"),
+    ("analyze", "pos-character", "vars x y\nsharing {x}\npos x $ y\n"),
+    ("analyze", "pos-operator", "vars x y\nsharing {x}\npos x & | y\n"),
+    ("analyze", "pos-unclosed", "vars x\nsharing {x}\npos (x\n"),
+    ("analyze", "pos-trailing", "vars x y\nsharing {x}\npos x y\n"),
+    ("analyze", "pos-undeclared", "vars x\nsharing {x}\npos y\n"),
+    ("analyze", "pos-not-positive", "vars x\nsharing {x}\npos ~x\n"),
+    ("analyze", "pos-table-too-wide",
+     f"vars {_WIDE[:_WIDE.index(' v21')]}\nsharing {{}}\npos v0 | v1\n"),
+    ("analyze --algo file --file-bound 1", "decomposition-limit",
+     "vars x y\nsharing {x} {y}\neq x = y\n"),
+    ("oracle --replay", "replay-no-eq", "vars x\nsharing {x}\n"),
+    ("oracle --replay", "replay-e0-undeclared",
+     "# e0 x = y\nvars x\nsharing {} {x}\nfree x\neq x = x\n"),
+)
+MISSING = "broken/missing.sl"  # never written: reading it fails
+USAGE_ERRORS = (
+    (),
+    ("frobnicate",),
+    ("analyze",),
+    ("analyze", MISSING, "--algo", "4"),
+    ("analyze", MISSING, "--order", "last"),
+    ("analyze", MISSING, "--file-bound", "0"),
+    ("compare", MISSING, "--file-bound", "two"),
+    ("compare", MISSING, "--algo", "1"),
+    ("oracle", "--max-vars", "65"),
+    ("oracle", "--max-vars", "0"),
+    ("oracle", "--max-depth", "256"),
+    ("oracle", "--max-depth", "-1"),
+    ("oracle", "--max-eqs", "0"),
+    ("oracle", "--trials", "-5"),
+    ("oracle", "--seed", "x"),
+    ("oracle", "--file-bound", "0"),
+    ("oracle", "--replay"),
+)
+
+
+class Diagnosed(tuple):
+    """The argv of a call that, when it exits non-zero, also prints the
+    sha256 of its stderr."""
 
 
 def digest(text: str) -> str:
@@ -64,29 +151,19 @@ def digest(text: str) -> str:
 def call(cli, argv, workdir: str) -> str:
     """One in-process call, as an ``exit digest argv`` line; a traceback
     prints its exception's type in place of the exit code."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:
             code = type(exc).__name__
+    digests = [digest(out.getvalue())]
+    if isinstance(argv, Diagnosed) and code != 0:
+        digests.append(digest(err.getvalue()))
     shown = [os.path.relpath(a, workdir) if a.startswith(workdir) else a for a in argv]
-    return f"{code} {digest(out.getvalue())} {' '.join(shown)}"
-
-
-def round_trip_text(instance) -> str:
-    """The exact abstraction of the instance's base as a problem over its
-    equations, after the base's ``# e0`` lines: a file that replays clean."""
-    from sharelin.amgu import AnalysisProblem
-    from sharelin.fuzz import exact_abstraction
-    from sharelin.problem_io import format_term, print_problem
-
-    _, triple, formula = exact_abstraction(instance.universe, instance.base)
-    problem = AnalysisProblem(instance.universe, triple, formula, instance.equations)
-    base = "".join(f"# e0 {format_term(eq.lhs)} = {format_term(eq.rhs)}\n" for eq in instance.base)
-    return base + print_problem(problem)
+    return " ".join((str(code), *digests, *shown))
 
 
 def replays():
@@ -95,12 +172,13 @@ def replays():
     same file without its ``pos`` line. The files go to ``replay/`` under
     the working directory, and are named relative to it, since a replay
     prints its file's name."""
-    from sharelin.fuzz import FuzzLimits, generate_instance
+    from sharelin.fuzz import FuzzLimits, generate_instance, replay_text
 
     for seed in REPLAY_SEEDS:
         rng = random.Random(seed)
         for trial in range(REPLAY_TRIALS):
-            text = round_trip_text(generate_instance(rng, FuzzLimits()))
+            instance = generate_instance(rng, FuzzLimits())
+            text = replay_text(instance, instance.equations)
             no_pos = "".join(l for l in text.splitlines(True) if not l.startswith("pos "))
             name = f"replay/{seed}-{trial}"
             yield f"text {digest(text)} {name}.sl"
@@ -119,21 +197,55 @@ def crlf_copies(files):
         copy = path[: -len(".sl")] + "-crlf.sl"
         with open(copy, "wb") as handle:
             handle.write(text.encode("utf-8"))
-        yield f"text {digest(text)} {CRLF_SEED}/{problem.name}-crlf"
+        yield f"text {digest(text)} {COPY_SEED}/{problem.name}-crlf"
         yield ("analyze", copy)
         yield ("compare", copy)
+
+
+def table_copies(files):
+    """For each (path, problem), a ``text`` line for a copy of the file whose
+    ``pos P`` line reads ``pos (P) | (P)``, the same models held as a truth
+    table, and the argv of its ``analyze`` and ``compare`` calls."""
+    for path, problem in files:
+        text = re.sub(r"^pos (.*)$", r"pos (\1) | (\1)", problem.text, flags=re.MULTILINE)
+        copy = path[: -len(".sl")] + "-table.sl"
+        with open(copy, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        yield f"text {digest(text)} {COPY_SEED}/{problem.name}-table"
+        yield Diagnosed(("analyze", copy))
+        yield Diagnosed(("compare", copy))
+
+
+def error_paths():
+    """A ``text`` line and the argv of the call for each file of
+    :data:`BROKEN`, the argv of a call on a missing file, then the
+    ``--help`` calls and :data:`USAGE_ERRORS`."""
+    for command, name, text in BROKEN:
+        path = f"broken/{name}.sl"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        yield f"text {digest(text)} {path}"
+        yield Diagnosed((*command.split(), path))
+    yield Diagnosed(("analyze", MISSING))
+    for command in ((), ("analyze",), ("compare",), ("oracle",)):
+        yield Diagnosed((*command, "--help"))
+    yield from map(Diagnosed, USAGE_ERRORS)
 
 
 def corpus(workloads, workdir: str):
     """The corpus in order: a ``text`` line (a string) for each generated
     file, and the argv (a tuple) of each call."""
-    crlf = []
+    crlf, flagged, tables = [], [], []
     for seed in SEEDS:
-        for make in workloads.WORKLOADS.values():
+        for workload, make in workloads.WORKLOADS.items():
             ops = make(seed, os.path.join(workdir, str(seed))).ops
             files = {op.argv[1]: op.problem for op in ops if op.problem is not None}
-            if seed == CRLF_SEED:
+            if seed == COPY_SEED:
                 crlf += list(files.items())[::CRLF_EVERY]
+                flagged += files
+                if workload == TABLE_WORKLOAD:
+                    with_pos = [f for f in files.items() if "\npos " in f[1].text]
+                    tables += with_pos[::TABLE_EVERY]
             for problem in files.values():
                 yield f"text {digest(problem.text)} {seed}/{problem.name}"
             yield from (op.argv for op in ops)
@@ -150,6 +262,11 @@ def corpus(workloads, workdir: str):
                    "--max-vars", max_vars)
     yield from replays()
     yield from crlf_copies(crlf)
+    for path in flagged:
+        for variant in FLAG_VARIANTS:
+            yield Diagnosed((*variant, path))
+    yield from table_copies(tables)
+    yield from error_paths()
 
 
 def lines(every: int = 1):
@@ -163,8 +280,9 @@ def lines(every: int = 1):
     import sharelin.cli as cli
 
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as workdir:
-        for name in (*map(str, SEEDS), "replay"):
+    # argparse wraps help and usage text to the terminal's width
+    with tempfile.TemporaryDirectory() as workdir, mock.patch.dict(os.environ, COLUMNS="80"):
+        for name in (*map(str, SEEDS), "replay", "broken"):
             os.mkdir(os.path.join(workdir, name))
         os.chdir(workdir)
         try:
