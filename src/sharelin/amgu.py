@@ -99,6 +99,16 @@ def _combine(
     linear the two single-closure results are intersected, unless the caller
     trades that precision for one closure on the smaller side.
 
+    When both sides are linear and one relevant set has fewer than two
+    groups, the region is ``pairwise_union(rel_s, rel_t)``, traded or not.
+    Say ``|rel_s| < 2`` (the other case is symmetric), so
+    ``cl(rel_s) = rel_s``. Since ``cl(A) ⊇ A`` and
+    ``pairwise_union`` is monotone in each argument,
+    ``pairwise_union(rel_s, cl(rel_t))`` contains
+    ``pairwise_union(rel_s, rel_t)``, and the intersection is the latter.
+    The traded form closes the smaller side, which then has fewer than two
+    groups, so its closure is the side itself.
+
     When neither side is linear, the region is the guarded pairwise union of
     the two closures, ``pairwise_union(cl(rel_s), cl(rel_t))``. It is
     computed as one closure of ``rel_s ∪ rel_t``, keeping the groups that
@@ -126,6 +136,8 @@ def _combine(
     does every union of them: the filter keeps the whole closure.
     """
     if chi_s == 1 and chi_t == 1:
+        if len(rel_s) < 2 or len(rel_t) < 2:
+            return pairwise_union(rel_s, rel_t, guard)
         if trade:
             if len(rel_s) <= len(rel_t):
                 return pairwise_union(union_closure(rel_s, guard), rel_t, guard)

@@ -11,7 +11,7 @@ oracle executable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .groundness import PosFormula
 from .sharing import SharingTriple, group_vars
@@ -74,16 +74,23 @@ class UnifyOutcome:
         return self.solved_form is not None
 
 
-def unify(equations: Iterable[Equation]) -> UnifyOutcome:
-    """Union-find unification over the term graph, without occurs check.
+class _Classes(NamedTuple):
+    """A solved system's union-find: per node its variable, its (functor,
+    arity) and its arguments' nodes, in creation order; each node's class,
+    named by its root; the functor node of each class that has one, by root; and each
+    variable's node, by name, in creation order."""
 
-    Cyclic solutions are allowed (rational-tree semantics); the only failure
-    is a clash of functors or arities. Each class is represented by its
-    earliest-created variable, a choice that is immaterial to every exported
-    query.
-    """
-    # one entry per node, in creation order: a variable node holds its
-    # variable, a functor node its (name, arity) and its arguments' nodes
+    node_var: list[Variable | None]
+    node_fun: list[tuple[str, int] | None]
+    node_args: list[tuple[int, ...]]
+    class_of: list[int]
+    schema: dict[int, int]
+    var_ids: dict[str, int]
+
+
+def _solve(equations: Iterable[Equation]) -> _Classes | None:
+    """Union-find over the term graph, without occurs check, or None on a
+    clash of functors or arities."""
     node_var: list[Variable | None] = []
     node_fun: list[tuple[str, int] | None] = []
     node_args: list[tuple[int, ...]] = []
@@ -126,7 +133,7 @@ def unify(equations: Iterable[Equation]) -> UnifyOutcome:
             continue
         sa, sb = schema.get(ra), schema.get(rb)
         if sa is not None and sb is not None and node_fun[sa] != node_fun[sb]:
-            return UnifyOutcome(None)
+            return None
         if size[ra] < size[rb]:
             ra, rb = rb, ra
             sa, sb = sb, sa
@@ -138,10 +145,25 @@ def unify(equations: Iterable[Equation]) -> UnifyOutcome:
                 schema[ra] = sb
         elif sb is not None:
             pending.extend(zip(node_args[sa], node_args[sb]))
+    class_of = [find(i) for i in range(len(parent))]
+    return _Classes(node_var, node_fun, node_args, class_of, schema, var_ids)
 
+
+def unify(equations: Iterable[Equation]) -> UnifyOutcome:
+    """Union-find unification over the term graph, without occurs check.
+
+    Cyclic solutions are allowed (rational-tree semantics); the only failure
+    is a clash of functors or arities. Each class is represented by its
+    earliest-created variable, a choice that is immaterial to every exported
+    query.
+    """
+    classes = _solve(equations)
+    if classes is None:
+        return UnifyOutcome(None)
+    node_var, node_fun, node_args, class_of, schema, var_ids = classes
     class_vars: dict[int, list[int]] = {}
-    for v, nid in var_ids.items():
-        class_vars.setdefault(find(nid), []).append(nid)
+    for nid in var_ids.values():
+        class_vars.setdefault(class_of[nid], []).append(nid)
     rep: dict[int, Variable] = {
         root: node_var[min(ids)] for root, ids in class_vars.items()
     }
@@ -162,7 +184,7 @@ def unify(equations: Iterable[Equation]) -> UnifyOutcome:
         rendering.add(root)
         s = schema[root]
         out = Compound(
-            node_fun[s][0], tuple(render_class(find(c)) for c in node_args[s])
+            node_fun[s][0], tuple(render_class(class_of[c]) for c in node_args[s])
         )
         rendering.discard(root)
         memo[root] = out
@@ -178,9 +200,33 @@ def unify(equations: Iterable[Equation]) -> UnifyOutcome:
         s = schema.get(root)
         if s is not None:
             bindings[rep_var] = Compound(
-                node_fun[s][0], tuple(render_class(find(c)) for c in node_args[s])
+                node_fun[s][0], tuple(render_class(class_of[c]) for c in node_args[s])
             )
     return UnifyOutcome(RationalSolvedForm.of(bindings))
+
+
+def _walk_counts(
+    once: list[int], twice: list[int], edges: list[tuple[int, list[tuple[int, bool]]]]
+) -> None:
+    """Run, in place, the least fixpoint of a walk count that saturates at
+    2. Each edge gives a bound node and its children, each flagged when it
+    fills two or more argument positions; a leaf starts with its own bit in
+    ``once`` and keeps it, a bound node starts empty. A bound node holds
+    what its children hold. It holds a leaf twice when some child holds it
+    twice, when a repeated child holds it, or when two distinct children
+    hold it, so a leaf reached through a cycle is held twice.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for i, children in edges:
+            one = two = 0
+            for j, repeated in children:
+                two |= twice[j] | one & once[j] | (once[j] if repeated else 0)
+                one |= once[j]
+            if one != once[i] or two != twice[i]:
+                once[i], twice[i] = one, two
+                changed = True
 
 
 def _leaf_masks(
@@ -190,11 +236,8 @@ def _leaf_masks(
     least once and at least twice, as masks over ``first`` followed by the
     solved form's other variables; that order is returned first.
 
-    The least fixpoint of a walk count that saturates at 2: an unbound
-    variable holds itself, and a bound one holds what its children hold. It
-    holds a leaf twice when some child holds it twice, when a child that
-    holds it occurs twice, or when two distinct children hold it, so a leaf
-    reached through a cycle is held twice.
+    An unbound variable is a leaf, and a bound one's children are the
+    variables of its binding, run through :func:`_walk_counts`.
     """
     index: dict[Variable, int] = {}
     for v in first:
@@ -209,17 +252,7 @@ def _leaf_masks(
     twice = [0] * len(index)
     for i, _ in edges:
         once[i] = 0
-    changed = True
-    while changed:
-        changed = False
-        for i, children in edges:
-            one = two = 0
-            for j, repeated in children:
-                two |= twice[j] | one & once[j] | (once[j] if repeated else 0)
-                one |= once[j]
-            if one != once[i] or two != twice[i]:
-                once[i], twice[i] = one, two
-                changed = True
+    _walk_counts(once, twice, edges)
     return tuple(index), once, twice
 
 
@@ -303,6 +336,26 @@ class SolvedFormMasks:
         )
 
 
+def _abstraction(
+    universe: VariableUniverse, held: list[int], twice: list[int], free: int
+) -> SolvedFormMasks:
+    """The masks of a solved form from its universe variables' leaf masks:
+    ``held[i]`` and ``twice[i]`` are the leaves that the i-th variable's
+    binding holds at least once and at least twice, a leaf in the universe
+    at its own position and every other one at ``len(universe)`` or above,
+    and ``free`` is the mask of the free variables."""
+    n = len(universe)
+    linear = 0
+    for i, two in enumerate(twice):
+        if not two:
+            linear |= 1 << i
+    groundness = None
+    if not any(leaves >> n for leaves in held):
+        defs = [(leaves, 1 << i) for i, leaves in enumerate(held) if leaves != 1 << i]
+        groundness = PosFormula(universe, clauses=(*defs, *((x, leaves) for leaves, x in defs)))
+    return SolvedFormMasks(_groups(held), free, linear, groundness)
+
+
 def solved_form_masks(rsf: RationalSolvedForm, universe: VariableUniverse) -> SolvedFormMasks:
     """Abstract the solved form once, for any number of :meth:`described_by`
     checks; one leaf-mask fixpoint serves every variable and the groundness.
@@ -310,18 +363,66 @@ def solved_form_masks(rsf: RationalSolvedForm, universe: VariableUniverse) -> So
     size."""
     n = len(universe)
     _, once, twice = _leaf_masks(rsf, universe)
-    held = once[:n]
-    free = linear = 0
+    free = 0
     for i, v in enumerate(universe.variables):
         if is_free(rsf, v):
             free |= 1 << i
-        if not twice[i]:
-            linear |= 1 << i
-    groundness = None
-    if not any(leaves >> n for leaves in held):
-        defs = [(leaves, 1 << i) for i, leaves in enumerate(held) if leaves != 1 << i]
-        groundness = PosFormula(universe, clauses=(*defs, *((x, leaves) for leaves, x in defs)))
-    return SolvedFormMasks(_groups(held), free, linear, groundness)
+    return _abstraction(universe, once[:n], twice[:n], free)
+
+
+def _class_masks(classes: _Classes, universe: VariableUniverse) -> SolvedFormMasks:
+    """:func:`solved_form_masks` of the solved form that :func:`unify`
+    renders from the classes, read off the class graph instead. A class
+    without a functor is a leaf, named like its rendering by its
+    earliest-created variable; a class with one holds what its argument
+    classes hold, and an argument class that fills two positions counts as
+    repeated. The walk counts through a variable-free class multiply out
+    as they do through its structural rendering."""
+    class_of, schema, var_ids = classes.class_of, classes.schema, classes.var_ids
+    node_args, name_index = classes.node_args, universe.name_index
+    n = len(universe)
+    once = [0] * len(class_of)
+    twice = [0] * len(class_of)
+    outside = n
+    for name, nid in var_ids.items():
+        r = class_of[nid]
+        if r not in schema and not once[r]:
+            i = name_index.get(name)
+            if i is None:
+                i, outside = outside, outside + 1
+            once[r] = 1 << i
+    edges = []
+    for r, s in schema.items():
+        kids = [class_of[c] for c in node_args[s]]
+        edges.append((r, [(j, kids.count(j) > 1) for j in dict.fromkeys(kids)]))
+    _walk_counts(once, twice, edges)
+    held: list[int] = []
+    held_twice: list[int] = []
+    free = 0
+    for i, name in enumerate(universe.names):
+        nid = var_ids.get(name)
+        if nid is None:
+            held.append(1 << i)
+            held_twice.append(0)
+            free |= 1 << i
+        else:
+            r = class_of[nid]
+            held.append(once[r])
+            held_twice.append(twice[r])
+            if r not in schema:
+                free |= 1 << i
+    return _abstraction(universe, held, held_twice, free)
+
+
+def system_masks(
+    equations: Iterable[Equation], universe: VariableUniverse
+) -> SolvedFormMasks | None:
+    """The system's exact abstraction over the universe, equal to
+    ``solved_form_masks(unify(equations).solved_form, universe)``, or None
+    when the equations clash. It is read off the unifier's classes, so no
+    solved form is built."""
+    classes = _solve(equations)
+    return None if classes is None else _class_masks(classes, universe)
 
 
 def groundness_abstraction(rsf: RationalSolvedForm, universe: VariableUniverse) -> PosFormula:
@@ -343,10 +444,8 @@ def describes(triple: SharingTriple, equations: Iterable[Equation]) -> bool:
     resulting solved form: occurrence groups covered, claimed free variables
     free, claimed linear variables of multiplicity at most one.
 
-    Any solved form of the system gives the same answer, so the one built
-    by :func:`unify` suffices.
+    Any solved form of the system gives the same answer, so the masks of
+    :func:`system_masks` suffice.
     """
-    outcome = unify(equations)
-    if not outcome.success:
-        return False
-    return solved_form_masks(outcome.solved_form, triple.universe).described_by(triple)
+    exact = system_masks(equations, triple.universe)
+    return exact is not None and exact.described_by(triple)

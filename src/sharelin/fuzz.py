@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 from .amgu import (
     AnalysisProblem,
@@ -25,7 +25,7 @@ from .amgu import (
     decomposed_reference,
     early_prune,
 )
-from .concrete import RationalSolvedForm, SolvedFormMasks, solved_form_masks, unify
+from .concrete import SolvedFormMasks, solved_form_masks, system_masks, unify
 from .groundness import trim
 from .problem_io import SemanticError, format_equation, parse_equation, parse_problem, print_problem
 from .sharing import SharingTriple, group_vars, mask_multiplicity, pairwise_union, relevant
@@ -92,19 +92,13 @@ class Instance:
     universe: VariableUniverse
     base: tuple[Equation, ...]       # satisfiable, unless read back by replay
     equations: tuple[Equation, ...]  # at least one
-    # the base's solved form, None when the base does not unify; unified
-    # here when not given
-    solved_form: RationalSolvedForm | None = field(default=None, compare=False, repr=False)
+    # the base's exact abstraction, None when the base does not unify;
+    # computed here when not given
+    base_exact: SolvedFormMasks | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.solved_form is None:
-            object.__setattr__(self, "solved_form", unify(self.base).solved_form)
-
-    @cached_property
-    def base_exact(self) -> SolvedFormMasks | None:
-        """The base's exact abstraction, or None when the base does not unify."""
-        rsf = self.solved_form
-        return None if rsf is None else solved_form_masks(rsf, self.universe)
+        if self.base_exact is None:
+            object.__setattr__(self, "base_exact", system_masks(self.base, self.universe))
 
 
 @cache
@@ -121,14 +115,14 @@ def generate_instance(rng: random.Random, limits: FuzzLimits) -> Instance:
             random_equation(rng, variables, limits.max_depth)
             for _ in range(rng.randint(0, limits.max_eqs))
         )
-        rsf = unify(base).solved_form
-        if rsf is None:
+        exact = system_masks(base, universe)
+        if exact is None:
             continue
         equations = tuple(
             random_equation(rng, variables, limits.max_depth)
             for _ in range(rng.randint(1, limits.max_eqs))
         )
-        return Instance(universe, base, equations, rsf)
+        return Instance(universe, base, equations, exact)
 
 
 def _exact_state(exact: SolvedFormMasks, universe: VariableUniverse) -> SharingTriple:
@@ -170,12 +164,13 @@ def check_instance(
     """Run the whole property battery on one instance.
 
     Each system (the base, base plus the first equation, base plus all
-    equations, and the latter permuted) is unified once, the base by the
-    instance itself, and abstracted by one :func:`solved_form_masks` call,
-    the base's by :attr:`Instance.base_exact`. With one equation, base
-    plus the first equation is the full system and is unified once. Every
-    soundness check is then a mask comparison against that exact
-    abstraction.
+    equations, and the latter permuted) is abstracted by one
+    :func:`system_masks` call, which reads its exact abstraction off the
+    unifier's classes without building a solved form; the base's comes
+    with the instance as :attr:`Instance.base_exact`. With one equation,
+    base plus the first equation is the full system and is abstracted
+    once. Every soundness check is then a mask comparison against that
+    exact abstraction.
 
     One step memo serves the untraded single-step checks and every step of
     every fold. Its key is the step function, the state's groups, free and
@@ -192,17 +187,14 @@ def check_instance(
     violations: list[Violation] = []
     universe = instance.universe
 
-    def abstract(rsf: RationalSolvedForm | None) -> SolvedFormMasks | None:
-        return None if rsf is None else solved_form_masks(rsf, universe)
-
     exact0 = instance.base_exact
     triple0, formula0 = _exact_state(exact0, universe), exact0.groundness
     step, full_system = instance.equations[:1], instance.base + instance.equations
-    full_exact = abstract(unify(full_system).solved_form)
+    full_exact = system_masks(full_system, universe)
     if len(instance.equations) == 1:
         step_exact = full_exact
     else:
-        step_exact = abstract(unify(instance.base + step).solved_form)
+        step_exact = system_masks(instance.base + step, universe)
 
     def record(prop: str, detail: str, equations=instance.equations) -> None:
         violations.append(Violation(trial, prop, detail, replay_text(instance, equations)))
@@ -239,7 +231,7 @@ def check_instance(
     if full_exact is not None:
         shuffled = list(full_system)
         random.Random(trial).shuffle(shuffled)
-        if abstract(unify(shuffled).solved_form) != full_exact:
+        if system_masks(shuffled, universe) != full_exact:
             record("unify-order-insensitive", "permuted system abstracts differently")
 
     # single-step checks on the first equation, read from its summaries
@@ -345,7 +337,7 @@ def replay(text: str, limits: FuzzLimits = FuzzLimits()) -> list:
         start = raw.index("# e0") + len("# e0")
         base.append(parse_equation(" " * start + raw[start:], problem.universe, lineno))
     instance = Instance(problem.universe, tuple(base), problem.equations)
-    if instance.solved_form is None:
+    if instance.base_exact is None:
         return [
             Violation(0, "replay-base-unsatisfiable", "recorded base system does not unify", text)
         ]

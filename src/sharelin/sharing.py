@@ -146,13 +146,14 @@ def mask_multiplicity(
 
 
 def freeness_decomposition(
-    groups: Sequence[int], free: int, max_groups: int = 16
+    groups: Sequence[int], free: int, *, max_groups: int
 ) -> tuple[tuple[int, ...], ...]:
     """All blocks ``B`` of the group set that cover the free variables and
     whose distinct members are pairwise disjoint on them.
 
     Each block collects groups that can arise on one computational path.
-    The block count can be exponential in the group count, hence the guard.
+    The block count can be exponential in the group count, hence the guard;
+    the analysis passes its ``AmguConfig.file_bound``.
     """
     base = tuple(sorted(set(groups)))
     if len(base) > max_groups:

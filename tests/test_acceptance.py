@@ -129,7 +129,9 @@ def test_04_decomposition_blocks_and_reference_precision():
     state = triple(XYZ, ["x", "z", "xy", "yz"], free="xyz", linear="xyz")
     result2 = amgu2(state, x, z)
     assert result2.groups == groups(XYZ, "", "xz", "xyz")
-    blocks = {frozenset(b) for b in freeness_decomposition(state.groups, state.free)}
+    blocks = {frozenset(b) for b in freeness_decomposition(
+        state.groups, state.free, max_groups=AmguConfig.file_bound
+    )}
     assert blocks == {
         frozenset(groups(XYZ, "x", "yz")),
         frozenset(groups(XYZ, "", "x", "yz")),

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sharelin.amgu as amgu_mod
 from sharelin.amgu import (
     AlgorithmId,
     AmguConfig,
@@ -789,13 +790,25 @@ def test_merged_runs_match_the_set_union(case):
 
 def filtered_combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask):
     """``_combine`` before it skipped the star-union filter for equal
-    relevance sets: with neither side linear, the closure of ``rel_s +
+    relevance sets and both closures of a linear step over a single group,
+    verbatim: with both sides linear, each side is closed (or the smaller
+    one, traded), and with neither side linear, the closure of ``rel_s +
     rel_t`` is always filtered."""
-    if chi_s != 1 and chi_t != 1:
-        return tuple(
-            g for g in union_closure(rel_s + rel_t, guard) if g & s_mask and g & t_mask
-        )
-    return _combine(rel_s, rel_t, chi_s, chi_t, guard, trade, s_mask, t_mask)
+    if chi_s == 1 and chi_t == 1:
+        if trade:
+            if len(rel_s) <= len(rel_t):
+                return pairwise_union(union_closure(rel_s, guard), rel_t, guard)
+            return pairwise_union(rel_s, union_closure(rel_t, guard), guard)
+        left = pairwise_union(union_closure(rel_s, guard), rel_t, guard)
+        right = pairwise_union(rel_s, union_closure(rel_t, guard), guard)
+        return tuple(sorted(set(left) & set(right)))
+    if chi_s == 1:
+        return pairwise_union(union_closure(rel_s, guard), rel_t, guard)
+    if chi_t == 1:
+        return pairwise_union(rel_s, union_closure(rel_t, guard), guard)
+    return tuple(
+        g for g in union_closure(rel_s + rel_t, guard) if g & s_mask and g & t_mask
+    )
 
 
 def merged_runs_amgu_raw(universe, groups, free, linear, s, t, variant, trade):
@@ -920,10 +933,21 @@ S_REPEATS_APART = (
 )
 
 
+# f(v0, v1) = f(v1, v2) over {v0}, {v1}, {v2}: both sides are linear over
+# two relevant groups that share {v1}, so a closure is needed to alias all
+# three; a linear step closes nothing only over a side of one group
+TWO_GROUPS_EACH = (
+    SharingTriple.make(U4, [0b0001, 0b0010, 0b0100], 0b0111, 0b1111),
+    TermSummary(0b0011, 0, 0),
+    TermSummary(0b0110, 0, 0),
+)
+
+
 @settings(max_examples=500, deadline=None)
 @given(raw_step_cases())
 @example(S_REPEATS_APART)
 @example(S_REPEATS_APART[:1] + S_REPEATS_APART[:0:-1])
+@example(TWO_GROUPS_EACH)
 def test_one_pass_step_matches_merged_runs_on_raw_sides(case):
     state, s, t = case
     args = (state.universe, state.groups, state.free, state.linear, s, t)
@@ -947,6 +971,28 @@ def test_one_pass_pairs_reach_the_special_cases():
     for variant in (1, 2, 3):
         args = (universe, state.groups, state.free, state.linear, *doubled, variant, False)
         assert _amgu_raw(*args) == merged_runs_amgu_raw(*args)
+
+
+def test_one_pass_pairs_reach_the_single_group_shortcut(monkeypatch):
+    # x = y over {x}, {x, y}, {z}, all linear: y's relevant set is the one
+    # group {x, y}, so the step forms one pairwise union and closes
+    # nothing, traded or not
+    universe = VariableUniverse.of_names(["x", "y", "z"])
+    state = SharingTriple.from_names(universe, [["x"], ["x", "y"], ["z"]], linear=["x", "y", "z"])
+    s, t = next(one_pass_pairs(universe, compile_equations(universe, (Equation(x, y),))))
+    assert [len(relevant(state.groups, side.mask)) for side in (s, t)] == [2, 1]
+    args = (universe, state.groups, state.free, state.linear, s, t)
+    expected = {
+        (variant, trade): merged_runs_amgu_raw(*args, variant, trade)
+        for variant in (1, 2, 3) for trade in (False, True)
+    }
+
+    def no_closure(groups, guard=0):
+        raise AssertionError("the single-group step closes nothing")
+
+    monkeypatch.setattr(amgu_mod, "union_closure", no_closure)
+    for (variant, trade), result in expected.items():
+        assert _amgu_raw(*args, variant, trade) == result
 
 
 def exact_state(universe, base):

@@ -8,13 +8,15 @@ from collections import deque
 from typing import Iterable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sharelin
 from sharelin.concrete import (
     RationalSolvedForm,
+    SolvedFormMasks,
     UnifyOutcome,
+    _groups,
     binding_multiplicity,
     describes,
     groundness_abstraction,
@@ -23,6 +25,7 @@ from sharelin.concrete import (
     reachable_vars,
     sharing_abstraction,
     solved_form_masks,
+    system_masks,
     unify,
 )
 from sharelin.fuzz import FuzzLimits, generate_instance
@@ -660,3 +663,256 @@ def test_flat_unify_matches_deque_unify_examples(system, success):
     outcome = unify(system)
     assert outcome.success == success
     assert outcome == deque_unify(system)
+
+
+def rsf_unify(equations: Iterable[Equation]) -> UnifyOutcome:
+    """``unify`` before its union-find was split out, verbatim.
+
+    Union-find unification over the term graph, without occurs check.
+
+    Cyclic solutions are allowed (rational-tree semantics); the only failure
+    is a clash of functors or arities. Each class is represented by its
+    earliest-created variable, a choice that is immaterial to every exported
+    query.
+    """
+    # one entry per node, in creation order: a variable node holds its
+    # variable, a functor node its (name, arity) and its arguments' nodes
+    node_var: list[Variable | None] = []
+    node_fun: list[tuple[str, int] | None] = []
+    node_args: list[tuple[int, ...]] = []
+    var_ids: dict[str, int] = {}
+
+    def intern(t: Term) -> int:
+        if isinstance(t, Variable):
+            nid = var_ids.get(t.name)
+            if nid is None:
+                nid = var_ids[t.name] = len(node_var)
+                node_var.append(t)
+                node_fun.append(None)
+                node_args.append(())
+            return nid
+        args = tuple([intern(a) for a in t.args])
+        nid = len(node_var)
+        node_var.append(None)
+        node_fun.append((t.functor, len(args)))
+        node_args.append(args)
+        return nid
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # a FIFO of node pairs to merge, walked by index
+    pending = [(intern(eq.lhs), intern(eq.rhs)) for eq in equations]
+    parent = list(range(len(node_var)))
+    size = [1] * len(node_var)
+    schema = {nid: nid for nid, fun in enumerate(node_fun) if fun is not None}
+
+    next_pair = 0
+    while next_pair < len(pending):
+        a, b = pending[next_pair]
+        next_pair += 1
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        sa, sb = schema.get(ra), schema.get(rb)
+        if sa is not None and sb is not None and node_fun[sa] != node_fun[sb]:
+            return UnifyOutcome(None)
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+            sa, sb = sb, sa
+        parent[rb] = ra
+        size[ra] += size[rb]
+        schema.pop(rb, None)
+        if sa is None:
+            if sb is not None:
+                schema[ra] = sb
+        elif sb is not None:
+            pending.extend(zip(node_args[sa], node_args[sb]))
+
+    class_vars: dict[int, list[int]] = {}
+    for v, nid in var_ids.items():
+        class_vars.setdefault(find(nid), []).append(nid)
+    rep: dict[int, Variable] = {
+        root: node_var[min(ids)] for root, ids in class_vars.items()
+    }
+
+    memo: dict[int, Term] = {}
+    rendering: set[int] = set()
+
+    def render_class(root: int) -> Term:
+        # Classes without a variable are rendered structurally; every cycle
+        # in the class graph passes through a variable class, so this
+        # recursion bottoms out (the guard is defensive).
+        if root in rep:
+            return rep[root]
+        if root in memo:
+            return memo[root]
+        if root in rendering:
+            raise RuntimeError("variable-free cycle in the term graph")
+        rendering.add(root)
+        s = schema[root]
+        out = Compound(
+            node_fun[s][0], tuple(render_class(find(c)) for c in node_args[s])
+        )
+        rendering.discard(root)
+        memo[root] = out
+        return out
+
+    bindings: dict[Variable, Term] = {}
+    for root, ids in class_vars.items():
+        rep_var = rep[root]
+        for nid in ids:
+            v = node_var[nid]
+            if v != rep_var:
+                bindings[v] = rep_var
+        s = schema.get(root)
+        if s is not None:
+            bindings[rep_var] = Compound(
+                node_fun[s][0], tuple(render_class(find(c)) for c in node_args[s])
+            )
+    return UnifyOutcome(RationalSolvedForm.of(bindings))
+
+
+def rsf_leaf_masks(
+    rsf: RationalSolvedForm, first: Iterable[Variable]
+) -> tuple[tuple[Variable, ...], list[int], list[int]]:
+    """``_leaf_masks`` before its fixpoint loop was split out, verbatim.
+
+    The free leaves that the unfolded binding of each variable holds at
+    least once and at least twice, as masks over ``first`` followed by the
+    solved form's other variables; that order is returned first.
+
+    The least fixpoint of a walk count that saturates at 2: an unbound
+    variable holds itself, and a bound one holds what its children hold. It
+    holds a leaf twice when some child holds it twice, when a child that
+    holds it occurs twice, or when two distinct children hold it, so a leaf
+    reached through a cycle is held twice.
+    """
+    index: dict[Variable, int] = {}
+    for v in first:
+        index.setdefault(v, len(index))
+    edges = []
+    for v, t in rsf.bindings:
+        i = index.setdefault(v, len(index))
+        edges.append(
+            (i, [(index.setdefault(w, len(index)), c > 1) for w, c in variable_counts(t).items()])
+        )
+    once = [1 << i for i in range(len(index))]
+    twice = [0] * len(index)
+    for i, _ in edges:
+        once[i] = 0
+    changed = True
+    while changed:
+        changed = False
+        for i, children in edges:
+            one = two = 0
+            for j, repeated in children:
+                two |= twice[j] | one & once[j] | (once[j] if repeated else 0)
+                one |= once[j]
+            if one != once[i] or two != twice[i]:
+                once[i], twice[i] = one, two
+                changed = True
+    return tuple(index), once, twice
+
+
+def rsf_solved_form_masks(rsf: RationalSolvedForm, universe: VariableUniverse) -> SolvedFormMasks:
+    """``solved_form_masks`` as it was, verbatim, over :func:`rsf_leaf_masks`.
+
+    Abstract the solved form once, for any number of :meth:`described_by`
+    checks; one leaf-mask fixpoint serves every variable and the groundness.
+    No assignment is enumerated, so the clause form holds at any universe
+    size."""
+    n = len(universe)
+    _, once, twice = rsf_leaf_masks(rsf, universe)
+    held = once[:n]
+    free = linear = 0
+    for i, v in enumerate(universe.variables):
+        if is_free(rsf, v):
+            free |= 1 << i
+        if not twice[i]:
+            linear |= 1 << i
+    groundness = None
+    if not any(leaves >> n for leaves in held):
+        defs = [(leaves, 1 << i) for i, leaves in enumerate(held) if leaves != 1 << i]
+        groundness = PosFormula(universe, clauses=(*defs, *((x, leaves) for leaves, x in defs)))
+    return SolvedFormMasks(_groups(held), free, linear, groundness)
+
+
+@st.composite
+def class_systems(draw):
+    """A universe of 1-8 or 64 variables and a system over a pool of its
+    variables (six of them at 64, bit 63 among them), plus the outside
+    variables ``p`` and ``q`` in about a third of the cases. An equation
+    relates two terms, a variable and a term, a variable and a
+    variable-free term, two variable-free terms, or two variables, and may
+    sit after a variable chain that is closed or not into a cycle through
+    ``f``. Terms use a/0, b/0, f/1, f/2 and g/2 (functor and arity
+    clashes) and ``g(t, t)`` (repeated arguments); variable-free terms
+    repeat across equations, so their classes merge."""
+    n = draw(st.one_of(st.integers(1, 8), st.just(64)), label="n")
+    universe = VariableUniverse.of_names(f"v{i}" for i in range(n))
+    pool = list(universe.variables)
+    if n > 8:
+        pool = [pool[i] for i in (0, 1, 2, 31, 62, 63)]
+    if draw(st.integers(0, 2), label="outside") == 0:
+        pool += [Variable("p"), Variable("q")]
+    variables = st.sampled_from(pool)
+    constants = st.sampled_from([Compound("a"), Compound("b")])
+    ground = constants | constants.map(lambda a: f(a)) | constants.map(lambda a: g_(a, a))
+    terms = st.recursive(
+        variables | ground,
+        lambda inner: st.one_of(
+            inner.map(lambda a: f(a)),
+            st.tuples(inner, inner).map(lambda a: f(*a)),
+            st.tuples(inner, inner).map(lambda a: g_(*a)),
+            inner.map(lambda a: g_(a, a)),
+        ),
+        max_leaves=6,
+    )
+    system = []
+    if len(pool) >= 2 and draw(st.booleans(), label="chain"):
+        order = draw(st.lists(variables, min_size=2, max_size=5, unique=True), label="order")
+        system += [Equation(a, b) for a, b in zip(order, order[1:])]
+        if draw(st.booleans(), label="cycle"):
+            system.append(Equation(order[-1], f(order[0])))
+    equations = st.one_of(
+        st.builds(Equation, terms, terms),
+        st.builds(Equation, variables, terms),
+        st.builds(Equation, variables, ground),
+        st.builds(Equation, ground, ground),
+        st.builds(Equation, variables, variables),
+    )
+    system += draw(st.lists(equations, max_size=5), label="equations")
+    return universe, tuple(system)
+
+
+u, p, q = Variable("u"), Variable("p"), Variable("q")
+WXYZU = VariableUniverse.of_names(["w", "x", "y", "z", "u"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(class_systems())
+@example((WXYZU, (Equation(x, f(x)),)))
+@example((WXYZU, (Equation(x, f(x, y)), Equation(y, g_(x, x)))))
+@example((WXYZU, (Equation(x, g_(u, u)), Equation(u, f(y)))))
+@example((WXYZU, (Equation(x, g_(f(y), f(y))),)))
+@example((WXYZU, (Equation(x, g_(u, w)), Equation(u, f(y)), Equation(w, f(y)), Equation(u, w))))
+@example((WXYZU, (Equation(x, f(Compound("a"))), Equation(y, f(Compound("a"))), Equation(x, y))))
+@example((WXYZU, (Equation(f(x), g_(x, y)),)))
+@example((WXYZU, (Equation(f(x), f(x, y)),)))
+@example((WXYZU, (Equation(x, f(p, q)),)))
+@example((WXYZU, (Equation(p, x), Equation(y, f(x)))))
+@example((WXYZU, (Equation(w, x), Equation(x, y), Equation(y, z), Equation(z, f(w)))))
+def test_class_masks_match_solved_form_masks(case):
+    """The masks read off the unifier's classes equal those of the solved
+    form it renders, computed as before the class path existed; the
+    rendered solved form is unchanged too."""
+    universe, system = case
+    outcome = rsf_unify(system)
+    assert unify(system) == outcome
+    rsf = outcome.solved_form
+    expected = None if rsf is None else rsf_solved_form_masks(rsf, universe)
+    assert system_masks(system, universe) == expected

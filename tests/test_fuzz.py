@@ -1,5 +1,6 @@
 """The randomised harness itself: determinism, detection power, replay."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -141,16 +142,7 @@ def test_oracle_prunes_each_instance_once(monkeypatch):
 
 
 def test_oracle_unifies_each_system_once(monkeypatch):
-    rng = random.Random(5)
-    instances = [generate_instance(rng, FuzzLimits()) for _ in range(20)]
-    # the base comes unified with the instance; the full system is unified
-    # by check_instance, the step system only when it differs from the full
-    # one (two or more equations), and the shuffled one when the full one
-    # unifies
-    several = [len(i.equations) >= 2 for i in instances]
-    step_sat = [unify(i.base + i.equations[:1]).success for i in instances]
-    full_sat = [unify(i.base + i.equations).success for i in instances]
-    calls = {"unify": 0, "_leaf_masks": 0}
+    calls = {"_solve": 0, "_class_masks": 0}
 
     def counting(name, original):
         def counted(*args):
@@ -159,18 +151,29 @@ def test_oracle_unifies_each_system_once(monkeypatch):
 
         return counted
 
-    # count the calls made through either module's name
-    counted_unify = counting("unify", concrete_mod.unify)
-    monkeypatch.setattr(fuzz_mod, "unify", counted_unify)
-    monkeypatch.setattr(concrete_mod, "unify", counted_unify)
-    leaf_masks = counting("_leaf_masks", concrete_mod._leaf_masks)
-    monkeypatch.setattr(concrete_mod, "_leaf_masks", leaf_masks)
+    # every solve and every class-path fixpoint passes through these names
+    monkeypatch.setattr(concrete_mod, "_solve", counting("_solve", concrete_mod._solve))
+    monkeypatch.setattr(
+        concrete_mod, "_class_masks", counting("_class_masks", concrete_mod._class_masks)
+    )
+    rng = random.Random(5)
+    instances = [generate_instance(rng, FuzzLimits()) for _ in range(20)]
+    # a drawn base that clashes runs no fixpoint, so generation runs one,
+    # on the base that the instance keeps
+    assert calls["_class_masks"] == len(instances)
+    several = [len(i.equations) >= 2 for i in instances]
+    step_sat = [unify(i.base + i.equations[:1]).success for i in instances]
+    full_sat = [unify(i.base + i.equations).success for i in instances]
+    solved = calls["_solve"]
     for instance in instances:
         check_instance(instance, FuzzLimits())
-    assert calls["unify"] == sum(1 + m + f for m, f in zip(several, full_sat))
+    # the full system is solved by check_instance, the step system only
+    # when it differs from the full one (two or more equations), and the
+    # shuffled one when the full one unifies
+    assert calls["_solve"] - solved == sum(1 + m + f for m, f in zip(several, full_sat))
     # one fixpoint per satisfiable system: the base, the step (when it is
     # not the full one), the full and the shuffled one
-    assert calls["_leaf_masks"] == sum(
+    assert calls["_class_masks"] == sum(
         1 + (m and s) + 2 * f for m, s, f in zip(several, step_sat, full_sat)
     )
     # the instances include one-equation systems, so the counts are tighter
@@ -241,14 +244,14 @@ def test_oracle_runs_each_distinct_step_once(monkeypatch):
 
 def test_replay_abstracts_each_system_once(monkeypatch):
     text = replay_text(NEEDS_CLOSURE, NEEDS_CLOSURE.equations)
-    leaf_masks = concrete_mod._leaf_masks
+    class_masks = concrete_mod._class_masks
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return leaf_masks(*args)
+        return class_masks(*args)
 
-    monkeypatch.setattr(concrete_mod, "_leaf_masks", counting)
+    monkeypatch.setattr(concrete_mod, "_class_masks", counting)
     assert replay(text) == []
     # one fixpoint per satisfiable system: the base, read once for the
     # stale-state checks and the battery, the full (with one equation, also
@@ -298,6 +301,40 @@ def test_mask_predicate_matches_describes(seed, data):
         rsf = unify(system).solved_form
         if rsf is not None:
             assert solved_form_masks(rsf, universe).described_by(triple) == expected
+
+
+def oracle_digest(limits: FuzzLimits) -> tuple[str, int]:
+    """The first 16 hex digits of a sha256 over seeds 0-299 of
+    ``run_trials(seed, 5, limits)``, each seed's rendered violations then
+    its sorted stats, and the number of violations."""
+    digest = hashlib.sha256()
+    violations = 0
+    for seed in range(300):
+        report = run_trials(seed, 5, limits)
+        violations += len(report.violations)
+        rendered = "".join(v.render() for v in report.violations)
+        digest.update((rendered + repr(sorted(report.stats.items()))).encode())
+    return digest.hexdigest()[:16], violations
+
+
+@pytest.mark.parametrize(
+    "limits, broken, expected",
+    [
+        (FuzzLimits(), False, ("4fc0ace21fbb5afb", 0)),
+        (FuzzLimits(max_vars=6, max_eqs=4), False, ("c3dacd92917e9310", 0)),
+        (FuzzLimits(), True, ("86b5ce265c043f0e", 74)),
+    ],
+    ids=["default", "wide", "broken-closure"],
+)
+def test_oracle_verdicts_and_stats_are_pinned(monkeypatch, limits, broken, expected):
+    """Every verdict and stat of 300 short oracle runs is pinned, and with
+    the closure broken so are the rendered counterexamples: a change to the
+    oracle or the steps that keeps every result keeps these digests."""
+    if broken:
+        monkeypatch.setattr(
+            amgu_mod, "union_closure", lambda groups, guard=0: tuple(sorted(set(groups)))
+        )
+    assert oracle_digest(limits) == expected
 
 
 def test_counterexample_replays_and_reproduces(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sharelin.amgu import AmguConfig
 from sharelin.sharing import (
     DecompositionLimitError,
     SharingTriple,
@@ -101,7 +102,10 @@ def test_abstract_multiplicity():
 
 def test_freeness_decomposition_blocks():
     state = gs(XYZ, "", "x", "z", "xy", "yz")
-    blocks = {frozenset(b) for b in freeness_decomposition(state, XYZ.full_mask)}
+    blocks = {
+        frozenset(b)
+        for b in freeness_decomposition(state, XYZ.full_mask, max_groups=AmguConfig.file_bound)
+    }
     expected = {
         frozenset(g(XYZ, "x", "yz")),
         frozenset(g(XYZ, "", "x", "yz")),
@@ -113,7 +117,7 @@ def test_freeness_decomposition_blocks():
 
 def test_freeness_decomposition_no_free_vars_gives_all_subsets():
     state = gs(XYZ, "", "x", "y")
-    blocks = freeness_decomposition(state, 0)
+    blocks = freeness_decomposition(state, 0, max_groups=AmguConfig.file_bound)
     assert len(blocks) == 8  # every subset qualifies
 
 
@@ -126,7 +130,10 @@ def test_freeness_decomposition_limit():
 def test_decomposition_example_with_partial_freeness():
     state = gs(XYZ, "", "xy", "y", "z")
     free_xy = XYZ.mask_of([Variable("x"), Variable("y")])
-    blocks = {frozenset(b) for b in freeness_decomposition(state, free_xy)}
+    blocks = {
+        frozenset(b)
+        for b in freeness_decomposition(state, free_xy, max_groups=AmguConfig.file_bound)
+    }
     assert frozenset(g(XYZ, "", "xy", "z")) in blocks
 
 
