@@ -144,10 +144,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as handle:
             violations = replay(handle.read(), limits)
+        stats = {}
         print(f"replay: {args.replay}")
     else:
         report = run_trials(args.seed, args.trials, limits)
-        violations = report.violations
+        violations, stats = report.violations, report.stats
         print(
             f"seed {args.seed} trials {args.trials} "
             f"max-vars {args.max_vars} max-depth {args.max_depth} max-eqs {args.max_eqs}"
@@ -155,6 +156,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for violation in sorted(violations, key=lambda v: (v.trial, v.prop)):
         print(violation.render())
     print(f"counterexamples: {len(violations)}")
+    # which conditional checks fired, so a vacuous pass shows
+    for name, count in sorted(stats.items()):
+        print(f"stat {name} {count}", file=sys.stderr)
     print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return EXIT_COUNTEREXAMPLE if violations else EXIT_OK
 

@@ -303,10 +303,12 @@ _Parsed = tuple[Clause, ...] | int
 def _conjunction_mask(value: _Parsed) -> int | None:
     """The variables of a parsed value that is a conjunction of variables
     (clauses that all have an empty body, ``true`` included), else ``None``."""
-    if isinstance(value, int) or any(body for body, _ in value):
+    if isinstance(value, int):
         return None
     mask = 0
-    for _, head in value:
+    for body, head in value:
+        if body:
+            return None
         mask |= head
     return mask
 
@@ -316,7 +318,10 @@ class _FormulaParser:
     definite clauses while the sub-formula is ``true``, a conjunction of
     variables, ``conj -> conj``, ``conj <-> conj`` or a ``&`` of such parts;
     any other operator turns its operands into truth tables (ints); the
-    first is built by ``table``, whose size check runs before ``all``."""
+    first is built by ``table``, whose size check runs before ``all``.
+
+    The tokens end in the sentinel ``""``, which no rule takes, so the
+    parser indexes them without a bounds check."""
 
     def __init__(self, text: str, tokens: list[str], universe: VariableUniverse):
         self.text = text
@@ -332,30 +337,20 @@ class _FormulaParser:
     def table(self, value: _Parsed) -> int:
         return value if isinstance(value, int) else _clauses_table(self.n, value)
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def column(self, index: int) -> int:
         return _token_column(self.text, index)
 
-    def next_col(self) -> int:
-        return self.column(self.pos)
-
-    def take(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def parse(self) -> _Parsed:
         value = self.formula()
-        if self.pos != len(self.tokens):
-            raise FormulaSyntaxError(f"unexpected {self.peek()!r}", self.next_col())
+        token = self.tokens[self.pos]
+        if token:
+            raise FormulaSyntaxError(f"unexpected {token!r}", self.column(self.pos))
         return value
 
     def formula(self) -> _Parsed:
         left = self.impl()
-        if self.peek() == "<->":
-            self.take()
+        if self.tokens[self.pos] == "<->":
+            self.pos += 1
             right = self.formula()
             lv, rv = _conjunction_mask(left), _conjunction_mask(right)
             if lv is not None and rv is not None:
@@ -365,8 +360,8 @@ class _FormulaParser:
 
     def impl(self) -> _Parsed:
         left = self.disj()
-        if self.peek() == "->":
-            self.take()
+        if self.tokens[self.pos] == "->":
+            self.pos += 1
             right = self.impl()
             lv, rv = _conjunction_mask(left), _conjunction_mask(right)
             if lv is not None and rv is not None:
@@ -376,15 +371,15 @@ class _FormulaParser:
 
     def disj(self) -> _Parsed:
         value = self.conj()
-        while self.peek() == "|":
-            self.take()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             value = self.table(value) | self.table(self.conj())
         return value
 
     def conj(self) -> _Parsed:
         value = self.unary()
-        while self.peek() == "&":
-            self.take()
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
             right = self.unary()
             if isinstance(value, tuple) and isinstance(right, tuple):
                 value = value + right
@@ -393,27 +388,27 @@ class _FormulaParser:
         return value
 
     def unary(self) -> _Parsed:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of formula", self.next_col())
+        at = self.pos
+        tok = self.tokens[at]
+        if not tok:
+            raise FormulaSyntaxError("unexpected end of formula", self.column(at))
+        self.pos = at + 1
         if tok == "~":
-            self.take()
             return self.table(self.unary()) ^ self.all
         if tok == "(":
-            self.take()
             value = self.formula()
-            if self.peek() != ")":
-                raise FormulaSyntaxError("expected ')'", self.next_col())
-            self.take()
+            if self.tokens[self.pos] != ")":
+                raise FormulaSyntaxError("expected ')'", self.column(self.pos))
+            self.pos += 1
             return value
-        name = self.take()
-        if name in ("&", "|", "->", "<->", ")"):
-            raise FormulaSyntaxError(f"unexpected {name!r}", self.column(self.pos - 1))
-        if name == RESERVED_NAME:
+        index = self.bits.get(tok)
+        if index is not None:
+            return ((0, 1 << index),)
+        if tok == RESERVED_NAME:
             return ()
-        if name not in self.bits:
-            raise UnknownFormulaVariable(name, self.column(self.pos - 1))
-        return ((0, 1 << self.bits[name]),)
+        if tok in _OPERATORS:
+            raise FormulaSyntaxError(f"unexpected {tok!r}", self.column(at))
+        raise UnknownFormulaVariable(tok, self.column(at))
 
 
 def parse_formula(text: str, universe: VariableUniverse) -> PosFormula:
@@ -426,6 +421,7 @@ def parse_formula(text: str, universe: VariableUniverse) -> PosFormula:
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 1)
+    tokens.append("")
     value = _FormulaParser(text, tokens, universe).parse()
     if isinstance(value, int):
         return _of_table(universe, value)

@@ -37,6 +37,7 @@ from .groundness import (
 from .sharing import SharingTriple
 from .terms import (
     IDENTIFIER, MAX_VARS, RESERVED_NAME, Compound, Equation, Term, Variable, VariableUniverse,
+    bit_positions,
 )
 
 
@@ -67,11 +68,13 @@ _SECTION_ORDER = {"vars": 0, "sharing": 1, "free": 2, "lin": 3, "pos": 4, "eq": 
 
 
 class _Line:
-    """The tokens of one line, read left to right, then ``""`` for the end.
+    """The tokens of one line, then ``""`` for the end. The section readers
+    take them straight off the list; the term reader walks them with
+    ``pos``.
 
-    An error reports the 1-based column of the token it stops at, or one
-    past the line's end. Columns are found only then, by matching the same
-    regex again.
+    An error reports the 1-based column of the token it stops at, given by
+    its index, or one past the line's end. Columns are found only then, by
+    matching the same regex again.
     """
 
     def __init__(self, body: str, line: int):
@@ -89,13 +92,10 @@ class _Line:
         match = next(islice(tokens, index, None), None)
         return len(self.body) + 1 if match is None else match.start(1) + 1
 
-    def at_end(self) -> bool:
-        return not self.tokens[self.pos]
-
-    def error(self, expected: str) -> ParseError:
-        token = self.tokens[self.pos]
+    def error(self, expected: str, index: int) -> ParseError:
+        token = self.tokens[index]
         found = repr(token[0]) if token else "end of line"
-        return self.error_at(f"expected {expected}, found {found}", self.pos)
+        return self.error_at(f"expected {expected}, found {found}", index)
 
     def error_at(self, message: str, index: int) -> ParseError:
         return ParseError(message, self.line, self.column(index))
@@ -103,26 +103,17 @@ class _Line:
     def semantic(self, message: str, index: int) -> SemanticError:
         return SemanticError(message, self.line, self.column(index))
 
+    def not_variable(self, index: int) -> ProblemError:
+        """The error for token ``index``, which names no declared variable."""
+        token = self.tokens[index]
+        if not "a" <= token < "{":
+            return self.error("variable", index)
+        return self.semantic(f"undeclared variable {token!r}", index)
+
     def expect(self, ch: str) -> None:
         if self.tokens[self.pos] != ch:
-            raise self.error(repr(ch))
+            raise self.error(repr(ch), self.pos)
         self.pos += 1
-
-    def ident(self, what: str) -> str:
-        token = self.tokens[self.pos]
-        # the token starts with a lowercase letter, so it is a whole identifier
-        if not "a" <= token < "{":
-            raise self.error(what)
-        self.pos += 1
-        return token
-
-    def variable(self, universe: VariableUniverse) -> int:
-        """The position in the universe of the next token, a declared variable."""
-        name = self.ident("variable")
-        index = universe.name_index.get(name)
-        if index is None:
-            raise self.semantic(f"undeclared variable {name!r}", self.pos - 1)
-        return index
 
     def expect_end(self) -> None:
         if self.tokens[self.pos]:
@@ -133,23 +124,28 @@ class _Line:
 
 
 def _parse_term(line: _Line, universe: VariableUniverse, depth: int = 0) -> Term:
+    tokens = line.tokens
     start = line.pos
-    name = line.ident("term")
+    name = tokens[start]
+    # a token that starts with a lowercase letter is a whole identifier
+    if not "a" <= name < "{":
+        raise line.error("term", start)
     index = universe.name_index.get(name)
-    if line.tokens[line.pos] == "(":
-        line.pos += 1
+    if tokens[start + 1] == "(":
+        line.pos = start + 2
         if index is not None:
             raise line.semantic(f"declared variable {name!r} used as a functor", start)
         if depth == MAX_TERM_DEPTH:
             raise line.semantic(f"term nested deeper than {MAX_TERM_DEPTH} argument lists", start)
         args: list[Term] = []
-        if line.tokens[line.pos] != ")":
+        if tokens[line.pos] != ")":
             args.append(_parse_term(line, universe, depth + 1))
-            while line.tokens[line.pos] == ",":
+            while tokens[line.pos] == ",":
                 line.pos += 1
                 args.append(_parse_term(line, universe, depth + 1))
         line.expect(")")
         return Compound(name, tuple(args))
+    line.pos = start + 1
     if index is None:
         raise line.semantic(f"undeclared variable {name!r}", start)
     return universe.variables[index]
@@ -169,23 +165,56 @@ def parse_equation(text: str, universe: VariableUniverse, line: int) -> Equation
     return _parse_equation(_Line(text, line), universe)
 
 
-def _parse_group(line: _Line, universe: VariableUniverse) -> int:
-    line.expect("{")
-    mask = 0
-    if line.tokens[line.pos] != "}":
-        while True:
-            mask |= 1 << line.variable(universe)
-            if line.tokens[line.pos] != ",":
-                break
-            line.pos += 1
-    line.expect("}")
-    return mask
+def _read_names(line: _Line) -> list[str]:
+    """The names of a ``vars`` line, each an identifier."""
+    names = line.tokens[1:-1]
+    if not names:
+        raise line.error_at("expected at least one variable", 1)
+    for k, name in enumerate(names, 1):
+        # a token that starts with a lowercase letter is a whole identifier
+        if not "a" <= name < "{":
+            raise line.error("variable", k)
+    return names
 
 
-def _parse_name_list(line: _Line, universe: VariableUniverse) -> int:
+def _read_groups(line: _Line, universe: VariableUniverse) -> list[int]:
+    """The group masks of a ``sharing`` line: ``{`` names split by ``,``
+    ``}``, any number of times."""
+    tokens = line.tokens
+    index_of = universe.name_index.get
+    groups = []
+    k = 1
+    while tokens[k]:
+        if tokens[k] != "{":
+            raise line.error("'{'", k)
+        k += 1
+        mask = 0
+        if tokens[k] != "}":
+            while True:
+                index = index_of(tokens[k])
+                if index is None:
+                    raise line.not_variable(k)
+                mask |= 1 << index
+                k += 1
+                if tokens[k] != ",":
+                    break
+                k += 1
+            if tokens[k] != "}":
+                raise line.error("'}'", k)
+        groups.append(mask)
+        k += 1
+    return groups
+
+
+def _read_name_mask(line: _Line, universe: VariableUniverse) -> int:
+    """The mask of the names of a ``free`` or ``lin`` line."""
+    index_of = universe.name_index.get
     mask = 0
-    while not line.at_end():
-        mask |= 1 << line.variable(universe)
+    for k, name in enumerate(line.tokens[1:-1], 1):
+        index = index_of(name)
+        if index is None:
+            raise line.not_variable(k)
+        mask |= 1 << index
     return mask
 
 
@@ -206,9 +235,11 @@ def parse_problem(text: str) -> AnalysisProblem:
         if not body.strip():
             continue
         line = _Line(body, lineno)
-        keyword = line.ident("section keyword")
+        keyword = line.tokens[0]
         stage = _SECTION_ORDER.get(keyword)
         if stage is None:
+            if not "a" <= keyword < "{":
+                raise line.error("section keyword", 0)
             raise line.error_at(f"unknown section {keyword!r}", 0)
         if universe is None and keyword != "vars":
             raise line.error_at("the file must start with a 'vars' line", 0)
@@ -220,11 +251,7 @@ def parse_problem(text: str) -> AnalysisProblem:
         last_stage = max(last_stage, stage)
 
         if keyword == "vars":
-            names: list[str] = []
-            while not line.at_end():
-                names.append(line.ident("variable"))
-            if not names:
-                raise line.error_at("expected at least one variable", 1)
+            names = _read_names(line)
             if len(set(names)) < len(names):
                 bad = min(n for n in names if names.count(n) > 1)
                 # the keyword is token 0, so name k is token k + 1
@@ -237,12 +264,11 @@ def parse_problem(text: str) -> AnalysisProblem:
             universe = VariableUniverse.of_names(names)
         elif keyword == "sharing":
             saw_sharing = True
-            while not line.at_end():
-                groups.append(_parse_group(line, universe))
+            groups = _read_groups(line, universe)
         elif keyword == "free":
-            free_mask = _parse_name_list(line, universe)
+            free_mask = _read_name_mask(line, universe)
         elif keyword == "lin":
-            linear_mask = _parse_name_list(line, universe)
+            linear_mask = _read_name_mask(line, universe)
         elif keyword == "pos":
             offset = line.column(1) - 1
             try:
@@ -259,6 +285,7 @@ def parse_problem(text: str) -> AnalysisProblem:
             if formula.is_truth():
                 formula = None  # canonical: no information, no formula
         else:  # eq
+            line.pos = 1
             equations.append(_parse_equation(line, universe))
 
     if universe is None:
@@ -288,12 +315,23 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 _GROUP_BREAK = ("} {",) * 256
 
 
+# Below this many groups a state prints by a per-group sort, and from it
+# on by the byte stream. Set by a sweep of 20 random states per count at 32
+# variables, groups of 1-6 variables, best of 40 runs on a 2-vCPU x86 host
+# (Python 3.11): per-group/byte-stream time 0.72 at 32 groups, 0.95 at 96
+# and 104, 1.03 at 112, 1.03 at 128, 1.23 at 256 and 1.47 at 512.
+BYTE_STREAM_GROUPS = 112
+
+
 def format_sharing(triple: SharingTriple) -> str:
     """The printed groups, space-separated, in canonical order: by size,
     then by variable positions, lowest first, as tuples compare.
 
-    Each group's key is the bytes ``[size, flip(b0), ..., flip(b_{w-1})]``
-    of its mask's bytes ``b0`` (the lowest) to ``b_{w-1}``. Of two groups
+    A state of fewer than :data:`BYTE_STREAM_GROUPS` groups sorts each
+    group's ``(size, positions)`` and prints the names at those positions.
+    A larger one sorts bytes instead. Each group's key is the bytes
+    ``[size, flip(b0), ..., flip(b_{w-1})]`` of its mask's bytes ``b0``
+    (the lowest) to ``b_{w-1}``. Of two groups
     of one size, the one holding the lower first differing position holds
     the higher bit once that byte is reversed, so its flipped byte, and its
     key, is smaller. The key comes from one ``to_bytes`` of the mask above
@@ -307,8 +345,11 @@ def format_sharing(triple: SharingTriple) -> str:
     only where a group's first name follows its brace.
     """
     names = triple.universe.names
-    width = (len(names) + 7) // 8
     groups = triple.groups
+    if len(groups) < BYTE_STREAM_GROUPS:
+        keys = sorted(zip(map(int.bit_count, groups), map(bit_positions, groups)))
+        return " ".join(["{" + ",".join([names[i] for i in at]) + "}" for _, at in keys])
+    width = (len(names) + 7) // 8
     flipped_sizes = map(_FLIP.__getitem__, map(int.bit_count, groups))
     values = map(or_, map(lshift, groups, repeat(8)), flipped_sizes)
     raw = map(int.to_bytes, values, repeat(width + 1), repeat("little"))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .terms import Term, Variable, VariableUniverse
+from .terms import Variable, VariableUniverse
 
 
 class DecompositionLimitError(RuntimeError):
@@ -119,23 +119,16 @@ def pairwise_union(
     )
 
 
-def abstract_multiplicity(
-    term: Term, groups: Sequence[int], linear: int, universe: VariableUniverse
+def mask_multiplicity(
+    term_mask: int, repeated: int, groups: Sequence[int], linear: int
 ) -> int:
-    """Worst-case multiplicity of the term under any described unifier.
+    """Worst-case multiplicity of a term under any described unifier, the
+    term given as ``var(t)`` and the mask of its variables that occur at
+    least twice.
 
     1 means the instantiated term stays linear, so closure can be avoided
     on that side; 2 makes no such promise.
     """
-    summary = universe.summarize(term)
-    return mask_multiplicity(summary.mask, summary.repeated, groups, linear)
-
-
-def mask_multiplicity(
-    term_mask: int, repeated: int, groups: Sequence[int], linear: int
-) -> int:
-    """:func:`abstract_multiplicity` of a term given as ``var(t)`` and the
-    mask of its variables that occur at least twice."""
     shared = group_vars(groups)
     if repeated & shared or shared & term_mask & ~linear:
         return 2

@@ -49,21 +49,6 @@ class Equation:
 EquationSet = tuple[Equation, ...]
 
 
-def term_vars(t: Term) -> frozenset[Variable]:
-    """The variables occurring in ``t``."""
-    if isinstance(t, Variable):
-        return frozenset((t,))
-    out: set[Variable] = set()
-    stack: list[Term] = [t]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Variable):
-            out.add(cur)
-        else:
-            stack.extend(cur.args)
-    return frozenset(out)
-
-
 def variable_counts(t: Term) -> Counter:
     """Occurrence count per variable of ``t``."""
     counts: Counter = Counter()

@@ -51,7 +51,6 @@ from sharelin.groundness import (
 from sharelin.sharing import (
     DecompositionLimitError,
     SharingTriple,
-    abstract_multiplicity,
     freeness_decomposition,
     group_vars,
     mask_multiplicity,
@@ -521,7 +520,7 @@ def term_walking_ground_trimmed_region(universe, rel_free, rel_other, free_var, 
 
 
 def term_walking_multiplicity(term, groups, linear, universe):
-    """``abstract_multiplicity`` before its mask logic moved into
+    """The multiplicity of a term before its mask logic moved into
     ``mask_multiplicity``, verbatim."""
     counts = variable_counts(term)
     shared = group_vars(groups)
@@ -680,7 +679,8 @@ def test_compiled_steps_match_term_walking_steps(case):
     assert outcome(decomposed_reference, state, s, t) == outcome(
         term_walking_decomposed, state, s, t
     )
-    assert abstract_multiplicity(s, state.groups, state.linear, state.universe) == (
+    summary = state.universe.summarize(s)
+    assert mask_multiplicity(summary.mask, summary.repeated, state.groups, state.linear) == (
         term_walking_multiplicity(s, state.groups, state.linear, state.universe)
     )
     problem = AnalysisProblem(state.universe, state, None, equations)

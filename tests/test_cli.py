@@ -20,6 +20,7 @@ from sharelin.fuzz import (
     Violation,
     generate_instance,
     replay_text,
+    run_trials,
 )
 from sharelin.problem_io import MAX_TERM_DEPTH, parse_problem
 
@@ -492,6 +493,22 @@ def test_oracle_zero_depth_runs(problem_file, capsys):
     code, out, _ = run(["oracle", "--trials", "2", "--max-depth", "0"], capsys)
     assert code == 0
     assert "counterexamples: 0" in out
+
+
+def test_oracle_writes_its_stats_to_stderr(tmp_path, capsys):
+    code, out, err = run(["oracle", "--seed", "5", "--trials", "30"], capsys)
+    assert code == 0
+    *stats, elapsed = err.splitlines()
+    expected = sorted(run_trials(5, 30).stats.items())
+    assert expected
+    assert stats == [f"stat {name} {count}" for name, count in expected]
+    assert elapsed.startswith("elapsed: ")
+    # replay keeps its one stderr line
+    path = tmp_path / "counterexample.sl"
+    path.write_text(round_trip_text())
+    code, out, err = run(["oracle", "--replay", str(path)], capsys)
+    assert code == 0
+    assert [line.split(" ")[0] for line in err.splitlines()] == ["elapsed:"]
 
 
 def test_oracle_counterexample_exit_code(problem_file, capsys, monkeypatch):

@@ -37,7 +37,7 @@ from sharelin.groundness import (
     truth,
 )
 from sharelin.sharing import SharingTriple
-from sharelin.terms import Compound, Equation, Term, Variable, VariableUniverse, term_vars, variable_counts
+from sharelin.terms import Compound, Equation, Term, Variable, VariableUniverse, variable_counts
 
 w, x, y, z = (Variable(n) for n in "wxyz")
 WXYZ = VariableUniverse.of_names(["w", "x", "y", "z"])
@@ -178,7 +178,7 @@ def walked_reachable_vars(rsf: RationalSolvedForm, v: Variable) -> frozenset[Var
         if t is None:
             out.add(u)
         else:
-            stack.extend(term_vars(t))
+            stack.extend(variable_counts(t))
     return frozenset(out)
 
 

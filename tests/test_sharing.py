@@ -8,9 +8,9 @@ from sharelin.amgu import AmguConfig
 from sharelin.sharing import (
     DecompositionLimitError,
     SharingTriple,
-    abstract_multiplicity,
     freeness_decomposition,
     group_vars,
+    mask_multiplicity,
     pairwise_union,
     relevant,
     union_closure,
@@ -90,14 +90,19 @@ def test_guarded_closure():
     assert union_closure(g(XYZ, "xy"), free_all) == g(XYZ, "xy")
 
 
+def multiplicity(term, groups, linear, universe):
+    summary = universe.summarize(term)
+    return mask_multiplicity(summary.mask, summary.repeated, groups, linear)
+
+
 def test_abstract_multiplicity():
     w, x, y = Variable("w"), Variable("x"), Variable("y")
     state6 = gs(U6, "", "uw", "vw", "xy", "xz", "wx")
-    assert abstract_multiplicity(w, state6, U6.full_mask, U6) == 1
+    assert multiplicity(w, state6, U6.full_mask, U6) == 1
     state3 = gs(XYZ, "", "xy", "yz")
     lin_y = XYZ.mask_of([y])
-    assert abstract_multiplicity(x, state3, lin_y, XYZ) == 2
-    assert abstract_multiplicity(Compound("f", (y, y)), state3, XYZ.full_mask, XYZ) == 2
+    assert multiplicity(x, state3, lin_y, XYZ) == 2
+    assert multiplicity(Compound("f", (y, y)), state3, XYZ.full_mask, XYZ) == 2
 
 
 def test_freeness_decomposition_blocks():

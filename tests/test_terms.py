@@ -10,11 +10,15 @@ from sharelin.terms import (
     Variable,
     VariableUniverse,
     term_multiplicity,
-    term_vars,
     variable_counts,
 )
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
+
+
+def term_vars(t):
+    """The variables occurring in ``t``."""
+    return frozenset(variable_counts(t))
 
 
 def test_term_vars():
