@@ -252,6 +252,9 @@ def main(argv=None) -> int:
     except (UniverseTooLargeError, DecompositionLimitError) as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except MemoryError:
+        print("limit exceeded: out of memory", file=sys.stderr)
+        return EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ Solved forms are binding graphs that may be cyclic (``x = f(x, y)`` binds
 ``x`` to a rational tree). The infinite unfolding is never built: variable
 occurrence, groundness and multiplicity are all read off one least fixpoint
 of walk counts over the graph, saturating at two, which is what makes the
-oracle executable.
+oracle executable. A solved form is itself a system of equations, so its
+bindings are solved like any system, and solved forms and systems share
+one walk over the unifier's class graph.
 """
 
 from __future__ import annotations
@@ -205,17 +207,53 @@ def unify(equations: Iterable[Equation]) -> UnifyOutcome:
     return UnifyOutcome(RationalSolvedForm.of(bindings))
 
 
-def _walk_counts(
-    once: list[int], twice: list[int], edges: list[tuple[int, list[tuple[int, bool]]]]
-) -> None:
-    """Run, in place, the least fixpoint of a walk count that saturates at
-    2. Each edge gives a bound node and its children, each flagged when it
-    fills two or more argument positions; a leaf starts with its own bit in
-    ``once`` and keeps it, a bound node starts empty. A bound node holds
-    what its children hold. It holds a leaf twice when some child holds it
-    twice, when a repeated child holds it, or when two distinct children
-    hold it, so a leaf reached through a cycle is held twice.
+def _form_classes(rsf: RationalSolvedForm, first: Iterable[Variable]) -> _Classes:
+    """The classes of the solved form's bindings, solved as equations. The
+    unbound variables are created first, each by an equation ``w = w`` that
+    merges nothing: those of ``first``, then those of each binding in
+    :func:`variable_counts` order. The variables of a class without a
+    functor chase to one unbound variable, so that variable names the leaf.
+    A class holds at most one binding's functor, so the bindings never
+    clash."""
+    order = dict.fromkeys(first)
+    for _, t in rsf.bindings:
+        order.update(dict.fromkeys(variable_counts(t)))
+    unbound = [Equation(w, w) for w in order if rsf.binding(w) is None]
+    return _solve([*unbound, *(Equation(v, t) for v, t in rsf.bindings)])
+
+
+def _leaf_walk(
+    classes: _Classes, name_index: Mapping[str, int]
+) -> tuple[list[int], list[int], list[Variable]]:
+    """The free leaves that each class holds at least once and at least
+    twice, by root, and the leaves outside ``name_index`` in bit order.
+
+    A class without a functor is a leaf, named by its earliest-created
+    variable: at that name's position in ``name_index``, or past all of
+    them in creation order. A class with a functor holds what its argument
+    classes hold. It holds a leaf twice when some argument class holds it
+    twice, when an argument class that fills two positions holds it, or
+    when two distinct argument classes hold it, so a leaf reached through a
+    cycle is held twice. The walk counts through a variable-free class
+    multiply out as they do through its structural rendering; the least
+    fixpoint saturates at two.
     """
+    class_of, schema, node_args = classes.class_of, classes.schema, classes.node_args
+    once = [0] * len(class_of)
+    twice = [0] * len(class_of)
+    outside: list[Variable] = []
+    for name, nid in classes.var_ids.items():
+        r = class_of[nid]
+        if r not in schema and not once[r]:
+            i = name_index.get(name)
+            if i is None:
+                i = len(name_index) + len(outside)
+                outside.append(classes.node_var[nid])
+            once[r] = 1 << i
+    edges = []
+    for r, s in schema.items():
+        kids = [class_of[c] for c in node_args[s]]
+        edges.append((r, [(j, kids.count(j) > 1) for j in dict.fromkeys(kids)]))
     changed = True
     while changed:
         changed = False
@@ -227,33 +265,16 @@ def _walk_counts(
             if one != once[i] or two != twice[i]:
                 once[i], twice[i] = one, two
                 changed = True
+    return once, twice, outside
 
 
-def _leaf_masks(
-    rsf: RationalSolvedForm, first: Iterable[Variable]
-) -> tuple[tuple[Variable, ...], list[int], list[int]]:
-    """The free leaves that the unfolded binding of each variable holds at
-    least once and at least twice, as masks over ``first`` followed by the
-    solved form's other variables; that order is returned first.
-
-    An unbound variable is a leaf, and a bound one's children are the
-    variables of its binding, run through :func:`_walk_counts`.
-    """
-    index: dict[Variable, int] = {}
-    for v in first:
-        index.setdefault(v, len(index))
-    edges = []
-    for v, t in rsf.bindings:
-        i = index.setdefault(v, len(index))
-        edges.append(
-            (i, [(index.setdefault(w, len(index)), c > 1) for w, c in variable_counts(t).items()])
-        )
-    once = [1 << i for i in range(len(index))]
-    twice = [0] * len(index)
-    for i, _ in edges:
-        once[i] = 0
-    _walk_counts(once, twice, edges)
-    return tuple(index), once, twice
+def _var_walk(rsf: RationalSolvedForm, v: Variable) -> tuple[int, int, tuple[Variable, ...]]:
+    """The leaves that the unfolded binding of ``v`` holds at least once and
+    at least twice, as masks over the returned leaves, ``v`` first."""
+    classes = _form_classes(rsf, (v,))
+    once, twice, outside = _leaf_walk(classes, {v.name: 0})
+    r = classes.class_of[classes.var_ids[v.name]]
+    return once[r], twice[r], (v, *outside)
 
 
 def _groups(once: list[int]) -> tuple[int, ...]:
@@ -268,16 +289,18 @@ def _groups(once: list[int]) -> tuple[int, ...]:
 
 def reachable_vars(rsf: RationalSolvedForm, v: Variable) -> frozenset[Variable]:
     """Free variables of the unfolded binding of ``v``."""
-    order, once, _ = _leaf_masks(rsf, (v,))
-    return frozenset(order[j] for j in bit_positions(once[0]))
+    once, _, leaves = _var_walk(rsf, v)
+    return frozenset(leaves[j] for j in bit_positions(once))
 
 
 def occurrence_set(
     rsf: RationalSolvedForm, leaf: Variable, universe: VariableUniverse
 ) -> frozenset[Variable]:
     """The universe variables whose unfolded bindings contain ``leaf``."""
-    order, once, _ = _leaf_masks(rsf, (leaf, *universe))
-    return frozenset(u for u, held in zip(order, once) if held & 1 and u in universe)
+    classes = _form_classes(rsf, universe)
+    once, _, _ = _leaf_walk(classes, {leaf.name: 0})
+    class_of, var_ids = classes.class_of, classes.var_ids
+    return frozenset(u for u in universe if once[class_of[var_ids[u.name]]] & 1)
 
 
 def sharing_abstraction(
@@ -285,29 +308,22 @@ def sharing_abstraction(
 ) -> tuple[int, ...]:
     """All occurrence groups of the solved form, as masks; the empty group is
     always present (witnessed by any variable the universe never reaches)."""
-    _, once, _ = _leaf_masks(rsf, universe)
-    return _groups(once[: len(universe)])
+    return solved_form_masks(rsf, universe).groups
 
 
 def is_free(rsf: RationalSolvedForm, v: Variable) -> bool:
-    """True when ``v`` chases through variable bindings to an unbound variable."""
-    cur = v
-    while True:
-        t = rsf.binding(cur)
-        if t is None:
-            return True
-        if isinstance(t, Variable):
-            cur = t
-            continue
-        return False
+    """True when ``v`` chases through variable bindings to an unbound
+    variable, that is, when its class has no functor."""
+    classes = _form_classes(rsf, (v,))
+    return classes.class_of[classes.var_ids[v.name]] not in classes.schema
 
 
 def binding_multiplicity(rsf: RationalSolvedForm, v: Variable) -> int:
     """Multiplicity of the unfolded binding of ``v``: 0 ground, 1 linear,
     2 when some free leaf occurs at least twice, as any leaf seen through a
     cycle does."""
-    _, once, twice = _leaf_masks(rsf, (v,))
-    return 2 if twice[0] else 1 if once[0] else 0
+    once, twice, _ = _var_walk(rsf, v)
+    return 2 if twice else 1 if once else 0
 
 
 @dataclass(frozen=True)
@@ -336,18 +352,24 @@ class SolvedFormMasks:
         )
 
 
-def _abstraction(
-    universe: VariableUniverse, held: list[int], twice: list[int], free: int
-) -> SolvedFormMasks:
-    """The masks of a solved form from its universe variables' leaf masks:
-    ``held[i]`` and ``twice[i]`` are the leaves that the i-th variable's
-    binding holds at least once and at least twice, a leaf in the universe
-    at its own position and every other one at ``len(universe)`` or above,
-    and ``free`` is the mask of the free variables."""
+def _class_masks(classes: _Classes, universe: VariableUniverse) -> SolvedFormMasks:
+    """The masks of a solved system over the universe, read off its classes
+    by :func:`_leaf_walk` with each leaf of the universe at its own position
+    and every other leaf past them. A universe variable that no equation
+    names is its own leaf; a variable is free when its class has no
+    functor."""
+    class_of, schema, var_ids = classes.class_of, classes.schema, classes.var_ids
+    once, twice, _ = _leaf_walk(classes, universe.name_index)
     n = len(universe)
-    linear = 0
-    for i, two in enumerate(twice):
-        if not two:
+    held: list[int] = []
+    free = linear = 0
+    for i, name in enumerate(universe.names):
+        nid = var_ids.get(name)
+        r = None if nid is None else class_of[nid]
+        held.append(1 << i if r is None else once[r])
+        if r not in schema:
+            free |= 1 << i
+        if r is None or not twice[r]:
             linear |= 1 << i
     groundness = None
     if not any(leaves >> n for leaves in held):
@@ -358,60 +380,10 @@ def _abstraction(
 
 def solved_form_masks(rsf: RationalSolvedForm, universe: VariableUniverse) -> SolvedFormMasks:
     """Abstract the solved form once, for any number of :meth:`described_by`
-    checks; one leaf-mask fixpoint serves every variable and the groundness.
-    No assignment is enumerated, so the clause form holds at any universe
+    checks; one leaf walk serves every variable and the groundness. No
+    assignment is enumerated, so the clause form holds at any universe
     size."""
-    n = len(universe)
-    _, once, twice = _leaf_masks(rsf, universe)
-    free = 0
-    for i, v in enumerate(universe.variables):
-        if is_free(rsf, v):
-            free |= 1 << i
-    return _abstraction(universe, once[:n], twice[:n], free)
-
-
-def _class_masks(classes: _Classes, universe: VariableUniverse) -> SolvedFormMasks:
-    """:func:`solved_form_masks` of the solved form that :func:`unify`
-    renders from the classes, read off the class graph instead. A class
-    without a functor is a leaf, named like its rendering by its
-    earliest-created variable; a class with one holds what its argument
-    classes hold, and an argument class that fills two positions counts as
-    repeated. The walk counts through a variable-free class multiply out
-    as they do through its structural rendering."""
-    class_of, schema, var_ids = classes.class_of, classes.schema, classes.var_ids
-    node_args, name_index = classes.node_args, universe.name_index
-    n = len(universe)
-    once = [0] * len(class_of)
-    twice = [0] * len(class_of)
-    outside = n
-    for name, nid in var_ids.items():
-        r = class_of[nid]
-        if r not in schema and not once[r]:
-            i = name_index.get(name)
-            if i is None:
-                i, outside = outside, outside + 1
-            once[r] = 1 << i
-    edges = []
-    for r, s in schema.items():
-        kids = [class_of[c] for c in node_args[s]]
-        edges.append((r, [(j, kids.count(j) > 1) for j in dict.fromkeys(kids)]))
-    _walk_counts(once, twice, edges)
-    held: list[int] = []
-    held_twice: list[int] = []
-    free = 0
-    for i, name in enumerate(universe.names):
-        nid = var_ids.get(name)
-        if nid is None:
-            held.append(1 << i)
-            held_twice.append(0)
-            free |= 1 << i
-        else:
-            r = class_of[nid]
-            held.append(once[r])
-            held_twice.append(twice[r])
-            if r not in schema:
-                free |= 1 << i
-    return _abstraction(universe, held, held_twice, free)
+    return _class_masks(_form_classes(rsf, universe), universe)
 
 
 def system_masks(
@@ -430,12 +402,13 @@ def groundness_abstraction(rsf: RationalSolvedForm, universe: VariableUniverse) 
     :attr:`SolvedFormMasks.groundness` of :func:`solved_form_masks`. Every
     leaf must lie in the universe, as it does for a system over the
     universe's variables; otherwise the universe's ``ValueError`` is raised,
-    naming the first leaf outside it in :func:`_leaf_masks` order."""
-    groundness = solved_form_masks(rsf, universe).groundness
+    naming the first such leaf in :func:`_form_classes` order."""
+    classes = _form_classes(rsf, universe)
+    groundness = _class_masks(classes, universe).groundness
     if groundness is None:
-        order, once, _ = _leaf_masks(rsf, universe)
-        n = len(universe)
-        universe.index(order[n + bit_positions(group_vars(once[:n]) >> n)[0]])
+        once, _, outside = _leaf_walk(classes, universe.name_index)
+        held = group_vars(once[classes.class_of[classes.var_ids[name]]] for name in universe.names)
+        universe.index(outside[bit_positions(held >> len(universe))[0]])
     return groundness
 
 

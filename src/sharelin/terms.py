@@ -170,12 +170,16 @@ class VariableUniverse:
         if isinstance(t, Variable):
             bit = self.bit(t)
             return TermSummary(bit, 0, bit)
+        name_index = self.name_index
         seen = repeated = 0
         stack = list(t.args)
         while stack:
             cur = stack.pop()
             if isinstance(cur, Variable):
-                bit = self.bit(cur)
+                i = name_index.get(cur.name)
+                if i is None:
+                    self.index(cur)  # raises, naming the variable
+                bit = 1 << i
                 repeated |= seen & bit
                 seen |= bit
             else:

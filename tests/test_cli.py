@@ -4,6 +4,7 @@ import hashlib
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 
@@ -648,6 +649,34 @@ def test_one_parser_serves_a_sequence_of_calls(problem_file, capsys):
             if code == 2:  # a usage error: no timing line, the same message
                 assert got[2] == err
     assert cli.build_parser() is cli.build_parser()
+
+
+# an address-space limit for one child, far below what the file below needs
+OUT_OF_MEMORY_BYTES = 3 << 29  # 1.5 GiB
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (OUT_OF_MEMORY_BYTES, OUT_OF_MEMORY_BYTES))
+
+
+def test_running_out_of_memory_exits_2_with_one_line(problem_file):
+    # one singleton group per variable, and each v_i twice in x's term:
+    # without pruning, the closure of the relevant groups has 2^24 - 1 members
+    names = [f"v{i}" for i in range(24)]
+    path = problem_file(
+        f"vars x {' '.join(names)}\n"
+        f"sharing {' '.join('{' + n + '}' for n in ['x', *names])}\n"
+        f"eq x = f({', '.join(names + names)})\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "sharelin.cli", "analyze", path, "--no-early-prune"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300, env=env,
+        preexec_fn=_limit_address_space,
+    )
+    assert "Traceback" not in child.stderr
+    assert (child.returncode, child.stderr) == (2, "limit exceeded: out of memory\n")
 
 
 # pos formula trees over variable indices: an index or "true", ("~", t),

@@ -36,8 +36,16 @@ from sharelin.groundness import (
     parse_formula,
     truth,
 )
-from sharelin.sharing import SharingTriple
-from sharelin.terms import Compound, Equation, Term, Variable, VariableUniverse, variable_counts
+from sharelin.sharing import SharingTriple, group_vars
+from sharelin.terms import (
+    Compound,
+    Equation,
+    Term,
+    Variable,
+    VariableUniverse,
+    bit_positions,
+    variable_counts,
+)
 
 w, x, y, z = (Variable(n) for n in "wxyz")
 WXYZ = VariableUniverse.of_names(["w", "x", "y", "z"])
@@ -916,3 +924,239 @@ def test_class_masks_match_solved_form_masks(case):
     rsf = outcome.solved_form
     expected = None if rsf is None else rsf_solved_form_masks(rsf, universe)
     assert system_masks(system, universe) == expected
+
+
+# The solved-form views before a solved form's bindings were solved as
+# equations, verbatim but for their names: a leaf numbering and walk edges
+# built from the bindings, a freeness chase, and the seven views over them.
+def leafwise_walk_counts(
+    once: list[int], twice: list[int], edges: list[tuple[int, list[tuple[int, bool]]]]
+) -> None:
+    """Run, in place, the least fixpoint of a walk count that saturates at
+    2. Each edge gives a bound node and its children, each flagged when it
+    fills two or more argument positions; a leaf starts with its own bit in
+    ``once`` and keeps it, a bound node starts empty. A bound node holds
+    what its children hold. It holds a leaf twice when some child holds it
+    twice, when a repeated child holds it, or when two distinct children
+    hold it, so a leaf reached through a cycle is held twice.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for i, children in edges:
+            one = two = 0
+            for j, repeated in children:
+                two |= twice[j] | one & once[j] | (once[j] if repeated else 0)
+                one |= once[j]
+            if one != once[i] or two != twice[i]:
+                once[i], twice[i] = one, two
+                changed = True
+
+
+def leafwise_leaf_masks(
+    rsf: RationalSolvedForm, first: Iterable[Variable]
+) -> tuple[tuple[Variable, ...], list[int], list[int]]:
+    """The free leaves that the unfolded binding of each variable holds at
+    least once and at least twice, as masks over ``first`` followed by the
+    solved form's other variables; that order is returned first.
+
+    An unbound variable is a leaf, and a bound one's children are the
+    variables of its binding, run through :func:`leafwise_walk_counts`.
+    """
+    index: dict[Variable, int] = {}
+    for v in first:
+        index.setdefault(v, len(index))
+    edges = []
+    for v, t in rsf.bindings:
+        i = index.setdefault(v, len(index))
+        edges.append(
+            (i, [(index.setdefault(w, len(index)), c > 1) for w, c in variable_counts(t).items()])
+        )
+    once = [1 << i for i in range(len(index))]
+    twice = [0] * len(index)
+    for i, _ in edges:
+        once[i] = 0
+    leafwise_walk_counts(once, twice, edges)
+    return tuple(index), once, twice
+
+
+def leafwise_reachable_vars(rsf: RationalSolvedForm, v: Variable) -> frozenset[Variable]:
+    """Free variables of the unfolded binding of ``v``."""
+    order, once, _ = leafwise_leaf_masks(rsf, (v,))
+    return frozenset(order[j] for j in bit_positions(once[0]))
+
+
+def leafwise_occurrence_set(
+    rsf: RationalSolvedForm, leaf: Variable, universe: VariableUniverse
+) -> frozenset[Variable]:
+    """The universe variables whose unfolded bindings contain ``leaf``."""
+    order, once, _ = leafwise_leaf_masks(rsf, (leaf, *universe))
+    return frozenset(u for u, held in zip(order, once) if held & 1 and u in universe)
+
+
+def leafwise_sharing_abstraction(
+    rsf: RationalSolvedForm, universe: VariableUniverse
+) -> tuple[int, ...]:
+    """All occurrence groups of the solved form, as masks; the empty group is
+    always present (witnessed by any variable the universe never reaches)."""
+    _, once, _ = leafwise_leaf_masks(rsf, universe)
+    return _groups(once[: len(universe)])
+
+
+def leafwise_is_free(rsf: RationalSolvedForm, v: Variable) -> bool:
+    """True when ``v`` chases through variable bindings to an unbound variable."""
+    cur = v
+    while True:
+        t = rsf.binding(cur)
+        if t is None:
+            return True
+        if isinstance(t, Variable):
+            cur = t
+            continue
+        return False
+
+
+def leafwise_binding_multiplicity(rsf: RationalSolvedForm, v: Variable) -> int:
+    """Multiplicity of the unfolded binding of ``v``: 0 ground, 1 linear,
+    2 when some free leaf occurs at least twice, as any leaf seen through a
+    cycle does."""
+    _, once, twice = leafwise_leaf_masks(rsf, (v,))
+    return 2 if twice[0] else 1 if once[0] else 0
+
+
+def leafwise_abstraction(
+    universe: VariableUniverse, held: list[int], twice: list[int], free: int
+) -> SolvedFormMasks:
+    """The masks of a solved form from its universe variables' leaf masks:
+    ``held[i]`` and ``twice[i]`` are the leaves that the i-th variable's
+    binding holds at least once and at least twice, a leaf in the universe
+    at its own position and every other one at ``len(universe)`` or above,
+    and ``free`` is the mask of the free variables."""
+    n = len(universe)
+    linear = 0
+    for i, two in enumerate(twice):
+        if not two:
+            linear |= 1 << i
+    groundness = None
+    if not any(leaves >> n for leaves in held):
+        defs = [(leaves, 1 << i) for i, leaves in enumerate(held) if leaves != 1 << i]
+        groundness = PosFormula(universe, clauses=(*defs, *((x, leaves) for leaves, x in defs)))
+    return SolvedFormMasks(_groups(held), free, linear, groundness)
+
+
+def leafwise_solved_form_masks(rsf: RationalSolvedForm, universe: VariableUniverse) -> SolvedFormMasks:
+    """Abstract the solved form once, for any number of :meth:`described_by`
+    checks; one leaf-mask fixpoint serves every variable and the groundness.
+    No assignment is enumerated, so the clause form holds at any universe
+    size."""
+    n = len(universe)
+    _, once, twice = leafwise_leaf_masks(rsf, universe)
+    free = 0
+    for i, v in enumerate(universe.variables):
+        if leafwise_is_free(rsf, v):
+            free |= 1 << i
+    return leafwise_abstraction(universe, once[:n], twice[:n], free)
+
+
+def leafwise_groundness_abstraction(rsf: RationalSolvedForm, universe: VariableUniverse) -> PosFormula:
+    """Groundness dependencies of the solved form over the universe: the
+    :attr:`SolvedFormMasks.groundness` of :func:`leafwise_solved_form_masks`. Every
+    leaf must lie in the universe, as it does for a system over the
+    universe's variables; otherwise the universe's ``ValueError`` is raised,
+    naming the first leaf outside it in :func:`leafwise_leaf_masks` order."""
+    groundness = leafwise_solved_form_masks(rsf, universe).groundness
+    if groundness is None:
+        order, once, _ = leafwise_leaf_masks(rsf, universe)
+        n = len(universe)
+        universe.index(order[n + bit_positions(group_vars(once[:n]) >> n)[0]])
+    return groundness
+
+
+
+
+@st.composite
+def drawn_solved_forms(draw):
+    """A universe of 1-6 variables and a solved form over them and the
+    outside variables ``p`` and ``q``, with its bindings in a drawn order.
+    A variable is unbound, bound to a later variable of a drawn order (so
+    chains such as ``x -> y -> z`` form, but no pure variable cycle), to a
+    compound whose variables may close a cycle, or to a ground term."""
+    n = draw(st.integers(1, 6), label="n")
+    universe = VariableUniverse.of_names(f"v{i}" for i in range(n))
+    pool = draw(st.permutations([*universe.variables, p, q]), label="pool")
+    constants = st.sampled_from([Compound("a"), Compound("b")])
+    terms = st.recursive(
+        st.sampled_from(pool) | constants,
+        lambda inner: st.one_of(
+            inner.map(lambda a: f(a)),
+            st.tuples(inner, inner).map(lambda a: g_(*a)),
+            inner.map(lambda a: g_(a, a)),
+        ),
+        max_leaves=5,
+    )
+    compounds = st.one_of(terms.map(lambda a: f(a)), st.tuples(terms, terms).map(lambda a: f(*a)))
+    bindings = []
+    for i, v in enumerate(pool):
+        kind = draw(st.sampled_from(["unbound", "chain", "compound", "ground"]), label=v.name)
+        if kind == "chain" and i + 1 < len(pool):
+            bindings.append((v, draw(st.sampled_from(pool[i + 1 :]))))
+        elif kind == "compound":
+            bindings.append((v, draw(compounds)))
+        elif kind == "ground":
+            bindings.append((v, draw(constants | constants.map(lambda a: f(a)))))
+    order = draw(st.permutations(bindings), label="order")
+    return universe, pool, RationalSolvedForm(tuple(order))
+
+
+def _raised(view, *args):
+    """The view's value, with a formula as its clause tuple, or the message
+    of the ``ValueError`` it raises."""
+    try:
+        value = view(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+    return "value", value.clauses if isinstance(value, PosFormula) else value
+
+
+def assert_views_match_the_binding_walk(rsf, universe, variables):
+    for v in variables:
+        assert reachable_vars(rsf, v) == leafwise_reachable_vars(rsf, v)
+        assert is_free(rsf, v) == leafwise_is_free(rsf, v)
+        assert binding_multiplicity(rsf, v) == leafwise_binding_multiplicity(rsf, v)
+        assert occurrence_set(rsf, v, universe) == leafwise_occurrence_set(rsf, v, universe)
+    assert sharing_abstraction(rsf, universe) == leafwise_sharing_abstraction(rsf, universe)
+    masks = solved_form_masks(rsf, universe)
+    expected = leafwise_solved_form_masks(rsf, universe)
+    assert masks == expected
+    assert _raised(lambda: masks.groundness) == _raised(lambda: expected.groundness)
+    assert _raised(groundness_abstraction, rsf, universe) == _raised(
+        leafwise_groundness_abstraction, rsf, universe
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_systems())
+@example((WXYZU, (Equation(w, x), Equation(x, y), Equation(y, z), Equation(z, f(w)))))
+@example((WXYZU, (Equation(x, f(p, q)), Equation(q, y))))
+def test_views_of_unified_systems_match_the_binding_walk(case):
+    """The views read off the classes of a solved form's bindings equal the
+    verbatim binding walk on every solved form that ``unify`` renders."""
+    universe, system = case
+    rsf = unify(system).solved_form
+    if rsf is None:
+        return
+    named = [w for eq in system for side in (eq.lhs, eq.rhs) for w in variable_counts(side)]
+    assert_views_match_the_binding_walk(rsf, universe, dict.fromkeys([*universe.variables[:8], *named]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn_solved_forms())
+@example((XY, (x, y, p, q), RationalSolvedForm(((x, y), (y, p)))))
+@example((XY, (x, y, p, q), RationalSolvedForm(((y, f(q, p)), (x, y)))))
+@example((XY, (x, y, p, q), RationalSolvedForm(((x, f(x, p)), (p, q)))))
+def test_views_of_drawn_solved_forms_match_the_binding_walk(case):
+    """The same on solved forms that ``unify`` never renders: variable
+    chains longer than one link, so a leaf class holds several bound
+    variables and is named by its one unbound one, in any binding order."""
+    universe, pool, rsf = case
+    assert_views_match_the_binding_walk(rsf, universe, pool)
