@@ -52,9 +52,15 @@ def _config_from_args(args: argparse.Namespace) -> AmguConfig:
     )
 
 
-def _load(path: str) -> AnalysisProblem:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_problem(handle.read())
+def _read(path: str) -> str:
+    """The text of a problem or replay file; one that is not UTF-8 is
+    unreadable. ``read`` decodes the whole file at once, so the error's
+    offset is the file's."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _prune(problem: AnalysisProblem, config: AmguConfig) -> SharingTriple | None:
@@ -71,7 +77,7 @@ def _print_pruned(pruned: SharingTriple | None) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    problem = _load(args.file)
+    problem = parse_problem(_read(args.file))
     config = _config_from_args(args)
     start = time.perf_counter()
     pruned = _prune(problem, config)
@@ -97,7 +103,7 @@ def _subset_mark(a: SharingTriple, b: SharingTriple) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    problem = _load(args.file)
+    problem = parse_problem(_read(args.file))
     base = _config_from_args(args)
     start = time.perf_counter()
     pruned = _prune(problem, base)
@@ -142,8 +148,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     )
     start = time.perf_counter()
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as handle:
-            violations = replay(handle.read(), limits)
+        violations = replay(_read(args.replay), limits)
         stats = {}
         print(f"replay: {args.replay}")
     else:

@@ -64,10 +64,6 @@ class FuzzReport:
     violations: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def count(self, key: str) -> None:
         self.stats[key] = self.stats.get(key, 0) + 1
 

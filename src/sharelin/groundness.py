@@ -11,7 +11,9 @@ iff assignment ``m`` is a model, so that the all-true assignment is the
 top bit. Conjunction, entailment, trimming and equality work on the table
 directly, and models are read off it only when asked for. Only a table
 is bounded in size; a clause form builds one only when it meets a table
-or its models are asked for.
+or its models are asked for. The parser nests at most
+:data:`MAX_FORMULA_DEPTH` levels: one for each ``(``, each ``~`` and each
+right operand of ``->`` or ``<->``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .terms import IDENTIFIER, RESERVED_NAME, Equation, VariableUniverse, bit_po
 # A truth table has 2**n bits (128 KiB at the bound). This caps every table,
 # and so the models of any formula; a clause form is never enumerated.
 MAX_FORMULA_VARS = 20
+# at most six parser frames a level, well inside Python's recursion limit
+MAX_FORMULA_DEPTH = 100
 
 
 class NotPositiveError(ValueError):
@@ -41,6 +45,10 @@ class FormulaSyntaxError(ValueError):
     def __init__(self, message: str, col: int):
         super().__init__(message)
         self.col = col
+
+
+class FormulaDepthError(FormulaSyntaxError):
+    """Grammatical text that nests deeper than the parser goes."""
 
 
 class UnknownFormulaVariable(ValueError):
@@ -204,23 +212,14 @@ def _of_table(universe: VariableUniverse, table: int) -> PosFormula:
 
 def truth(universe: VariableUniverse) -> PosFormula:
     """The formula with no groundness information: every assignment is a model."""
-    return conjunction_of(universe, 0)
-
-
-def conjunction_of(universe: VariableUniverse, var_mask: int) -> PosFormula:
-    """The conjunction of the variables in ``var_mask``."""
-    return PosFormula.of_clauses(universe, ((0, var_mask),))
-
-
-def biconditional(universe: VariableUniverse, left_mask: int, right_mask: int) -> PosFormula:
-    """``(/\\ left) <-> (/\\ right)`` as two definite clauses."""
-    return PosFormula.of_clauses(universe, ((left_mask, right_mask), (right_mask, left_mask)))
+    return PosFormula(universe, clauses=())
 
 
 def equation_groundness(eq: Equation, universe: VariableUniverse) -> PosFormula:
     """Groundness consequence of solving one equation: grounding every
     variable of one side grounds the other, in any unifier."""
-    return biconditional(universe, universe.term_mask(eq.lhs), universe.term_mask(eq.rhs))
+    left, right = universe.term_mask(eq.lhs), universe.term_mask(eq.rhs)
+    return PosFormula.of_clauses(universe, ((left, right), (right, left)))
 
 
 def conjoin(f: PosFormula, g: PosFormula) -> PosFormula:
@@ -327,6 +326,7 @@ class _FormulaParser:
         self.text = text
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.n = len(universe)
         self.bits = universe.name_index
 
@@ -340,6 +340,17 @@ class _FormulaParser:
     def column(self, index: int) -> int:
         return _token_column(self.text, index)
 
+    def nested(self, at: int, rule) -> _Parsed:
+        """Parse ``rule`` after token ``at``, one level deeper."""
+        if self.depth == MAX_FORMULA_DEPTH:
+            message = f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+            raise FormulaDepthError(message, self.column(at))
+        self.depth += 1
+        self.pos = at + 1
+        value = rule()
+        self.depth -= 1
+        return value
+
     def parse(self) -> _Parsed:
         value = self.formula()
         token = self.tokens[self.pos]
@@ -350,8 +361,7 @@ class _FormulaParser:
     def formula(self) -> _Parsed:
         left = self.impl()
         if self.tokens[self.pos] == "<->":
-            self.pos += 1
-            right = self.formula()
+            right = self.nested(self.pos, self.formula)
             lv, rv = _conjunction_mask(left), _conjunction_mask(right)
             if lv is not None and rv is not None:
                 return ((lv, rv), (rv, lv))
@@ -361,8 +371,7 @@ class _FormulaParser:
     def impl(self) -> _Parsed:
         left = self.disj()
         if self.tokens[self.pos] == "->":
-            self.pos += 1
-            right = self.impl()
+            right = self.nested(self.pos, self.impl)
             lv, rv = _conjunction_mask(left), _conjunction_mask(right)
             if lv is not None and rv is not None:
                 return ((lv, rv),)
@@ -394,9 +403,9 @@ class _FormulaParser:
             raise FormulaSyntaxError("unexpected end of formula", self.column(at))
         self.pos = at + 1
         if tok == "~":
-            return self.table(self.unary()) ^ self.all
+            return self.table(self.nested(at, self.unary)) ^ self.all
         if tok == "(":
-            value = self.formula()
+            value = self.nested(at, self.formula)
             if self.tokens[self.pos] != ")":
                 raise FormulaSyntaxError("expected ')'", self.column(self.pos))
             self.pos += 1

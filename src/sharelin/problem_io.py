@@ -26,6 +26,7 @@ from operator import getitem, lshift, or_
 
 from .amgu import AnalysisProblem
 from .groundness import (
+    FormulaDepthError,
     FormulaSyntaxError,
     NotPositiveError,
     PosFormula,
@@ -273,7 +274,7 @@ def parse_problem(text: str) -> AnalysisProblem:
             offset = line.column(1) - 1
             try:
                 formula = parse_formula(body[offset:], universe)
-            except UnknownFormulaVariable as exc:
+            except (UnknownFormulaVariable, FormulaDepthError) as exc:
                 raise SemanticError(str(exc), lineno, offset + exc.col) from None
             except FormulaSyntaxError as exc:
                 raise ParseError(str(exc), lineno, offset + exc.col) from None

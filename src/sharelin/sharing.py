@@ -67,9 +67,6 @@ class SharingTriple:
             universe.mask_of(Variable(n) for n in linear),
         )
 
-    def group_names(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(self.universe.names_of_mask(g) for g in self.groups)
-
 
 def group_vars(groups: Iterable[int]) -> int:
     """Union of all groups: the variables that may share at all."""

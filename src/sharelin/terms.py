@@ -73,14 +73,6 @@ def bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(positions)
 
 
-def term_multiplicity(t: Term) -> int:
-    """0 for ground terms, 1 for linear ones, 2 when some variable repeats."""
-    counts = variable_counts(t)
-    if not counts:
-        return 0
-    return 2 if max(counts.values()) >= 2 else 1
-
-
 class TermSummary(NamedTuple):
     """What the abstract operations read off a term, as masks over a
     universe: ``var(t)``, the variables occurring at least twice, and the

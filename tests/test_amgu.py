@@ -41,9 +41,7 @@ from sharelin.concrete import (
 from sharelin.fuzz import random_equation
 from sharelin.groundness import (
     PosFormula,
-    biconditional,
     conjoin,
-    conjunction_of,
     parse_formula,
     trim,
     truth,
@@ -64,7 +62,6 @@ from sharelin.terms import (
     TermSummary,
     Variable,
     VariableUniverse,
-    term_multiplicity,
     variable_counts,
 )
 
@@ -218,7 +215,8 @@ class TestAmgu3:
             for grp in rel_s:
                 required = universe.term_mask(term) & ~(grp & state.free)
                 candidates = pairwise_union((grp,), rel_t, state.free)
-                formula = biconditional(universe, universe.bit(var), required)
+                bit = universe.bit(var)
+                formula = PosFormula.of_clauses(universe, ((bit, required), (required, bit)))
                 region.update(trim(formula, candidates))
             removed = set(rel_s) | set(rel_t)
             expected = sorted({g for g in state.groups if g not in removed} | region | {0})
@@ -329,7 +327,7 @@ class TestEarlyPrune:
         u2 = VariableUniverse.of_names(["x", "y"])
         state = SharingTriple.from_names(u2, [("x",), ("y",)], free=["x"])
         pruned = early_prune(parse_formula("y -> x", u2), (Equation(y, y),), state)
-        assert pruned.group_names() == ((), ("y",))
+        assert pruned.groups == (0, u2.mask_of([y]))
         assert pruned.free == 0
         assert pruned.linear == u2.mask_of([x])
 
@@ -392,9 +390,9 @@ def pos_formulas(draw, universe):
     masks = st.integers(min_value=0, max_value=full)
     if draw(st.booleans()):
         return table_of(universe, draw(st.lists(masks, max_size=20)) + [full])
-    formula = conjunction_of(universe, draw(masks) if draw(st.booleans()) else 0)
+    formula = PosFormula.of_clauses(universe, [(0, draw(masks) if draw(st.booleans()) else 0)])
     for left, right in draw(st.lists(st.tuples(masks, masks), max_size=3)):
-        formula = conjoin(formula, biconditional(universe, left, right))
+        formula = conjoin(formula, PosFormula.of_clauses(universe, ((left, right), (right, left))))
     return formula
 
 
@@ -517,6 +515,15 @@ def term_walking_ground_trimmed_region(universe, rel_free, rel_other, free_var, 
             if bool(complement & fbit) == ((complement & required) == required):
                 region.add(cand)
     return tuple(sorted(region))
+
+
+def term_multiplicity(t):
+    """0 for ground terms, 1 for linear ones, 2 when some variable repeats.
+    The library function that ``term_walking_fold`` called, verbatim."""
+    counts = variable_counts(t)
+    if not counts:
+        return 0
+    return 2 if max(counts.values()) >= 2 else 1
 
 
 def term_walking_multiplicity(term, groups, linear, universe):

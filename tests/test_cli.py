@@ -175,12 +175,19 @@ def test_variable_named_true_exits_with_one_message(problem_file, capsys):
          "argument --max-vars: expected at most 64, not '1000'"),
         ("compare", "vars x  true\nsharing {x}\n", [],
          "semantic error: line 1, column 9: 'true' is the formula constant, not a variable name"),
+        ("analyze", "vars x\nsharing {x}\npos " + "(" * 101 + "x" + ")" * 101 + "\n", [],
+         "semantic error: line 3, column 105: formula nested deeper than 100 levels"),
+        ("compare", "vars x\nsharing {x}\npos " + "~" * 102 + "x\n", [],
+         "semantic error: line 3, column 105: formula nested deeper than 100 levels"),
+        ("oracle", "vars x\nsharing {x}\npos " + "x -> " * 101 + "x\neq x = x\n", ["--replay"],
+         "semantic error: line 3, column 507: formula nested deeper than 100 levels"),
     ],
     ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero",
          "oracle-max-vars-zero", "oracle-max-eqs-zero", "oracle-file-bound-zero",
          "oracle-file-bound-negative", "oracle-trials-negative", "oracle-max-depth-negative",
          "eq-nested-past-bound", "replay-e0-nested-past-bound", "oracle-max-depth-past-bound",
-         "replay-no-eq", "oracle-max-vars-past-bound", "vars-true"],
+         "replay-no-eq", "oracle-max-vars-past-bound", "vars-true", "pos-nested-past-bound",
+         "pos-negated-past-bound", "replay-pos-chain-past-bound"],
 )
 def test_parseable_input_never_tracebacks(problem_file, capsys, command, text, flags, expected):
     # the file goes last, after --replay for oracle; other oracle calls take none
@@ -207,6 +214,42 @@ def test_term_nested_at_the_bound_runs(problem_file, capsys):
     code, out, _ = run(["oracle", "--replay", problem_file(replay)], capsys)
     assert code == 0
     assert out.endswith("counterexamples: 0\n")
+
+
+def test_formula_nested_at_the_bound_runs(problem_file, capsys):
+    assert groundness.MAX_FORMULA_DEPTH == 100
+    depth = groundness.MAX_FORMULA_DEPTH
+    for pos in (
+        "(" * depth + "x" + ")" * depth,
+        "~" * depth + "x",
+        "x -> " * depth + "y",
+        "x <-> " * depth + "x",
+    ):
+        text = f"vars x y\nsharing {{x,y}}\npos {pos}\neq x = y\n"
+        for command in ("analyze", "compare"):
+            code, out, err = run([command, problem_file(text)], capsys)
+            assert code == 0, err
+            assert out
+
+
+def test_sibling_clauses_past_the_depth_bound_run(problem_file, capsys):
+    # each clause closes the levels it opens, so only nesting counts
+    for clause in ("(x)", "~~x", "(x -> y)", "(x <-> y)"):
+        pos = " & ".join([clause] * (groundness.MAX_FORMULA_DEPTH + 1))
+        text = f"vars x y\nsharing {{x,y}}\npos {pos}\neq x = y\n"
+        code, out, err = run(["analyze", problem_file(text)], capsys)
+        assert code == 0, err
+        assert out
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "oracle --replay"])
+def test_file_that_is_not_utf8_is_unreadable(tmp_path, capsys, command):
+    path = tmp_path / "bad.sl"
+    path.write_bytes(b"vars x\n# \xff\nsharing {x}\neq x = x\n")
+    code, out, err = run([*command.split(), str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: not UTF-8 text (byte 9)\n"
 
 
 def test_wide_oracle_with_few_leaves_runs(problem_file, capsys):

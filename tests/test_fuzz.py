@@ -78,12 +78,12 @@ LINEAR_ONLY_DIFFERS = Instance(
 
 def test_healthy_build_has_no_violations():
     report = run_trials(seed=42, trials=150, limits=FuzzLimits(max_vars=4))
-    assert report.ok
+    assert not report.violations
     assert report.checked == 150
 
 
 def test_trials_zero_is_vacuous():
-    assert run_trials(seed=1, trials=0).ok
+    assert not run_trials(seed=1, trials=0).violations
 
 
 def test_generation_is_deterministic():
@@ -237,7 +237,7 @@ def test_oracle_runs_each_distinct_step_once(monkeypatch):
         return amgu(*args)
 
     monkeypatch.setattr(amgu_mod, "_amgu", counting)
-    assert run_trials(seed=42, trials=100).ok
+    assert not run_trials(seed=42, trials=100).violations
     assert len(calls) == MEMO_AMGU_CALLS
     assert unmemoized >= 2 * len(calls)
 

@@ -17,9 +17,7 @@ from sharelin.groundness import (
     _models,
     _token_column,
     _tokenize,
-    biconditional,
     conjoin,
-    conjunction_of,
     entailed_ground,
     equation_groundness,
     format_formula,
@@ -315,10 +313,12 @@ def test_definite_precedence_traps():
 
 
 def test_builders():
-    assert conjunction_of(XYZ, 0) == truth(XYZ)
-    f = conjunction_of(XYZ, XYZ.mask_of([Variable("x")]))
-    assert f == parse_formula("x", XYZ)
-    g = biconditional(XYZ, XYZ.mask_of([Variable("x")]), XYZ.mask_of([Variable("y"), Variable("z")]))
+    # a conjunction of variables is one clause with an empty body, and a
+    # biconditional is two clauses
+    assert PosFormula.of_clauses(XYZ, ((0, 0),)) == truth(XYZ)
+    x, yz = XYZ.mask_of([Variable("x")]), XYZ.mask_of([Variable("y"), Variable("z")])
+    assert PosFormula.of_clauses(XYZ, ((0, x),)) == parse_formula("x", XYZ)
+    g = PosFormula.of_clauses(XYZ, ((x, yz), (yz, x)))
     assert g == parse_formula("x <-> (y & z)", XYZ)
 
 
@@ -359,8 +359,9 @@ def test_builders_match_numpy_reference(args):
     n, left, right = args
     u = _universe(n)
     assert truth(u) == reference_truth(u)
-    assert conjunction_of(u, left) == reference_conjunction_of(u, left)
-    assert biconditional(u, left, right) == reference_biconditional(u, left, right)
+    assert PosFormula.of_clauses(u, ((0, left),)) == reference_conjunction_of(u, left)
+    both_ways = ((left, right), (right, left))
+    assert PosFormula.of_clauses(u, both_ways) == reference_biconditional(u, left, right)
 
 
 def _scan(table, n):

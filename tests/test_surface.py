@@ -15,6 +15,19 @@ def library_surface_section() -> str:
     return text[start : None if end < 0 else end]
 
 
+def reason_list() -> str:
+    """The bullet list of reasons, without its parenthesised asides."""
+    section = library_surface_section()
+    bullets = section[section.index("\n- ") :]
+    return re.sub(r"\([^)]*\)", "", bullets)
+
+
 def test_readme_gives_every_exported_name_a_reason():
     named = set(re.findall(r"`(\w+)`", library_surface_section()))
     assert sorted(set(sharelin.__all__) - named) == []
+
+
+def test_readme_reasons_name_only_exported_names():
+    # a name deleted from the package and left in README fails here
+    named = set(re.findall(r"`(\w+)`", reason_list()))
+    assert sorted(named - set(sharelin.__all__)) == []

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from sharelin import groundness, problem_io
 from sharelin.terms import (
     Compound,
+    TermSummary,
     Variable,
     VariableUniverse,
-    term_multiplicity,
     variable_counts,
 )
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
+XYZ = VariableUniverse.of_names(["x", "y", "z"])
 
 
 def term_vars(t):
@@ -28,9 +29,11 @@ def test_term_vars():
 
 
 def test_term_multiplicity():
-    assert term_multiplicity(Compound("a")) == 0
-    assert term_multiplicity(Compound("f", (x, y, z))) == 1
-    assert term_multiplicity(Compound("f", (x, Compound("g", (x,))))) == 2
+    # a term is ground when its summary has no variables, linear when none
+    # repeats, and non-linear when one does
+    assert XYZ.summarize(Compound("a")) == TermSummary(0, 0, 0)
+    assert XYZ.summarize(Compound("f", (x, y, z))) == TermSummary(0b111, 0, 0)
+    assert XYZ.summarize(Compound("f", (x, Compound("g", (x,))))) == TermSummary(0b1, 0b1, 0)
 
 
 def test_variable_counts():
@@ -53,7 +56,7 @@ def _terms(variables):
 
 @given(_terms([x, y, z]))
 def test_multiplicity_zero_iff_ground(t):
-    assert (term_multiplicity(t) == 0) == (not term_vars(t))
+    assert (XYZ.summarize(t).mask == 0) == (not term_vars(t))
 
 
 @given(_terms([x, y, z]))
@@ -65,7 +68,8 @@ def test_multiplicity_invariant_under_renaming(t):
             return renaming[term]
         return Compound(term.functor, tuple(rename(a) for a in term.args))
 
-    assert term_multiplicity(rename(t)) == term_multiplicity(t)
+    pqr = VariableUniverse.of_names(["p", "q", "r"])
+    assert pqr.summarize(rename(t)) == XYZ.summarize(t)
 
 
 def test_universe_order_and_masks():

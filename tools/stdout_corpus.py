@@ -39,8 +39,8 @@ reruns a fixed slice of it. The corpus:
 
 Each call of the last four sections that exits non-zero prints the
 sha256 of its stderr after that of its stdout; argparse reads the
-terminal width from ``COLUMNS``, which the corpus sets to 80. That is 532
-texts and 4397 calls. Problem files go to a temporary directory, and a
+terminal width from ``COLUMNS``, which the corpus sets to 80. That is 535
+texts and 4400 calls. Problem files go to a temporary directory, and a
 printed argv names a file by its seed and base name, by its oracle seed
 and trial, or by its name under ``broken/``. The corpus takes 15-45 s on
 a 2-vCPU x86 host.
@@ -77,9 +77,10 @@ FLAG_VARIANTS = (
 TABLE_WORKLOAD = "prune-wide"
 TABLE_EVERY = 5
 _WIDE = " ".join(f"v{i}" for i in range(65))
-# (command, name, text): one file per error the CLI reports; files under
-# ``broken/`` are named relative to the working directory, since a file
-# error prints its path
+# (command, name, text): one file per error the CLI reports, its text a
+# string or, for a file that is not UTF-8, bytes; files under ``broken/``
+# are named relative to the working directory, since a file error prints
+# its path
 BROKEN = (
     ("analyze", "no-vars", "# a comment only\n"),
     ("analyze", "no-sharing", "vars x\n"),
@@ -111,11 +112,15 @@ BROKEN = (
     ("analyze", "pos-not-positive", "vars x\nsharing {x}\npos ~x\n"),
     ("analyze", "pos-table-too-wide",
      f"vars {_WIDE[:_WIDE.index(' v21')]}\nsharing {{}}\npos v0 | v1\n"),
+    ("analyze", "pos-nested-past-bound",
+     "vars x\nsharing {x}\npos " + "(" * 300 + "x" + ")" * 300 + "\n"),
+    ("analyze", "not-utf8", b"vars x\n# \xff\nsharing {x}\n"),
     ("analyze --algo file --file-bound 1", "decomposition-limit",
      "vars x y\nsharing {x} {y}\neq x = y\n"),
     ("oracle --replay", "replay-no-eq", "vars x\nsharing {x}\n"),
     ("oracle --replay", "replay-e0-undeclared",
      "# e0 x = y\nvars x\nsharing {} {x}\nfree x\neq x = x\n"),
+    ("oracle --replay", "replay-not-utf8", b"vars x\nsharing {x}\neq x = x\n# \xff\n"),
 )
 MISSING = "broken/missing.sl"  # never written: reading it fails
 USAGE_ERRORS = (
@@ -144,8 +149,8 @@ class Diagnosed(tuple):
     sha256 of its stderr."""
 
 
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def digest(text: str | bytes) -> str:
+    return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
 
 
 def call(cli, argv, workdir: str) -> str:
@@ -222,9 +227,10 @@ def error_paths():
     ``--help`` calls and :data:`USAGE_ERRORS`."""
     for command, name, text in BROKEN:
         path = f"broken/{name}.sl"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        yield f"text {digest(text)} {path}"
+        data = text if isinstance(text, bytes) else text.encode()
+        with open(path, "wb") as handle:
+            handle.write(data)
+        yield f"text {digest(data)} {path}"
         yield Diagnosed((*command.split(), path))
     yield Diagnosed(("analyze", MISSING))
     for command in ((), ("analyze",), ("compare",), ("oracle",)):
