@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .groundness import PosFormula, complements_satisfying, conjoin, entailed_ground, trim
+from .groundness import PosFormula, conjoin, entailed_ground, trim
 from .sharing import (
     SharingTriple,
     freeness_decomposition,
@@ -165,13 +165,13 @@ def _ground_trimmed_region(
 ) -> tuple[int, ...]:
     """Region for the free variable ``fbit`` against a compound: binding the
     variable makes it ground exactly when the compound's variables outside
-    its own group are. That dependency is two definite clauses, and
-    candidates whose complement falsifies either are trimmed away."""
+    its own group are. Candidates whose complement falsifies either clause
+    ``fbit -> required`` or ``required -> fbit`` are trimmed away; every
+    candidate holds ``fbit``, so that leaves those that meet ``required``."""
     region: set[int] = set()
     for g in rel_free:
         required = other_mask & ~(g & free)
-        dependency = ((fbit, required), (required, fbit))
-        region.update(complements_satisfying(dependency, pairwise_union((g,), rel_other, free)))
+        region.update(c for c in pairwise_union((g,), rel_other, free) if c & required)
     return tuple(sorted(region))
 
 

@@ -163,47 +163,29 @@ def unify(equations: Iterable[Equation]) -> UnifyOutcome:
     if classes is None:
         return UnifyOutcome(None)
     node_var, node_fun, node_args, class_of, schema, var_ids = classes
-    class_vars: dict[int, list[int]] = {}
-    for nid in var_ids.values():
-        class_vars.setdefault(class_of[nid], []).append(nid)
-    rep: dict[int, Variable] = {
-        root: node_var[min(ids)] for root, ids in class_vars.items()
-    }
-
-    memo: dict[int, Term] = {}
-    rendering: set[int] = set()
-
-    def render_class(root: int) -> Term:
-        # Classes without a variable are rendered structurally; every cycle
-        # in the class graph passes through a variable class, so this
-        # recursion bottoms out (the guard is defensive).
-        if root in rep:
-            return rep[root]
-        if root in memo:
-            return memo[root]
-        if root in rendering:
-            raise RuntimeError("variable-free cycle in the term graph")
-        rendering.add(root)
-        s = schema[root]
-        out = Compound(
-            node_fun[s][0], tuple(render_class(class_of[c]) for c in node_args[s])
-        )
-        rendering.discard(root)
-        memo[root] = out
-        return out
-
+    # variables in creation order: the first one met in a class names it
+    rep: dict[int, Variable] = {}
     bindings: dict[Variable, Term] = {}
-    for root, ids in class_vars.items():
-        rep_var = rep[root]
-        for nid in ids:
-            v = node_var[nid]
-            if v != rep_var:
-                bindings[v] = rep_var
-        s = schema.get(root)
-        if s is not None:
-            bindings[rep_var] = Compound(
-                node_fun[s][0], tuple(render_class(class_of[c]) for c in node_args[s])
-            )
+    for nid in var_ids.values():
+        v = node_var[nid]
+        first = rep.setdefault(class_of[nid], v)
+        if first != v:
+            bindings[v] = first
+
+    # A class without a variable renders as its functor node. Interning makes
+    # a fresh node for each compound occurrence, so every compound node of
+    # such a class sits at one argument position under nodes of one class:
+    # the class is referenced once and is never its own ancestor, so it is
+    # rendered at most once and the recursion ends.
+    def term(root: int) -> Term:
+        return rep[root] if root in rep else render(schema[root])
+
+    def render(s: int) -> Compound:
+        return Compound(node_fun[s][0], tuple([term(class_of[c]) for c in node_args[s]]))
+
+    for root, v in rep.items():
+        if root in schema:
+            bindings[v] = render(schema[root])
     return UnifyOutcome(RationalSolvedForm.of(bindings))
 
 

@@ -11,20 +11,20 @@ iff assignment ``m`` is a model, so that the all-true assignment is the
 top bit. Conjunction, entailment, trimming and equality work on the table
 directly, and models are read off it only when asked for. Only a table
 is bounded in size; a clause form builds one only when it meets a table
-or its models are asked for. The parser nests at most
-:data:`MAX_FORMULA_DEPTH` levels: one for each ``(``, each ``~`` and each
-right operand of ``->`` or ``<->``.
+or its models are asked for. Formula text splits into the tokens of
+:data:`sharelin.terms.TOKEN_RE`, the regex of problem lines too, and the
+parser nests at most :data:`MAX_FORMULA_DEPTH` levels: one for each
+``(``, each ``~`` and each right operand of ``->`` or ``<->``.
 """
 
 from __future__ import annotations
 
-import re
 from functools import cache, cached_property
 from itertools import accumulate, count
 from operator import add
 from typing import Iterable, Sequence
 
-from .terms import IDENTIFIER, RESERVED_NAME, Equation, VariableUniverse, bit_positions
+from .terms import RESERVED_NAME, TOKEN_RE, Equation, VariableUniverse, bit_positions, token_column
 
 # A truth table has 2**n bits (128 KiB at the bound). This caps every table,
 # and so the models of any formula; a clause form is never enumerated.
@@ -148,16 +148,6 @@ def _entails(clauses: tuple[Clause, ...], others: Iterable[Clause]) -> bool:
     return all(not head & ~least_model(clauses + ((0, body),)) for body, head in others)
 
 
-def complements_satisfying(clauses: Iterable[Clause], groups: Iterable[int]) -> list[int]:
-    """The groups, in order, whose complement satisfies every clause: the
-    assignment that makes exactly the group false fails a clause iff the
-    clause's body misses the group and its head meets it."""
-    kept = list(groups)
-    for body, head in clauses:
-        kept = [g for g in kept if body & g or not head & g]
-    return kept
-
-
 def _bounded_size(n: int) -> None:
     if n > MAX_FORMULA_VARS:
         raise UniverseTooLargeError(
@@ -249,10 +239,15 @@ def trim(f: PosFormula, groups: Sequence[int]) -> tuple[int, ...]:
 
     A sharing group that survives can still bind a common variable once the
     rest of the universe is ground; any other group is impossible and is
-    dropped. The empty group always survives (positivity).
+    dropped. The empty group always survives (positivity). The assignment
+    that makes exactly a group false fails a clause iff the clause's body
+    misses the group and its head meets it.
     """
     if f.clauses is not None:
-        return tuple(complements_satisfying(f.clauses, groups))
+        kept = groups
+        for body, head in f.clauses:
+            kept = [g for g in kept if body & g or not head & g]
+        return tuple(kept)
     full = f.universe.full_mask
     table = f.table
     return tuple(g for g in groups if table >> (full & ~g) & 1)
@@ -268,16 +263,15 @@ def trim(f: PosFormula, groups: Sequence[int]) -> tuple[int, ...]:
 #
 # '~' is permitted anywhere as long as the final result stays positive.
 
-# One match per token: an operator, a parenthesis or an identifier, else any
-# other non-space character on its own, which no formula holds.
-_TOKEN_RE = re.compile(rf"\s*(<->|->|[()&|~]|{IDENTIFIER}|\S)")
+# Tokens are those of terms.TOKEN_RE, the problem lines' regex too; one that
+# is neither an operator nor an identifier is a character no formula holds.
 _OPERATORS = frozenset(("<->", "->", "(", ")", "&", "|", "~"))
 
 
 def _tokenize(text: str) -> list[str]:
     # trailing space is cut first: the regex would rescan it from each of
     # its positions
-    tokens = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    tokens = TOKEN_RE.findall(text, 0, len(text.rstrip()))
     for index, token in enumerate(tokens):
         # a token that starts with a lowercase letter is a whole identifier
         if not ("a" <= token < "{" or token in _OPERATORS):
@@ -288,11 +282,8 @@ def _tokenize(text: str) -> list[str]:
 
 def _token_column(text: str, index: int) -> int:
     """The 1-based column of token ``index`` of the text, or one past the
-    last token. Columns are found only for errors, by matching the same
-    regex again."""
-    end = len(text.rstrip())
-    starts = [m.start(1) + 1 for m in _TOKEN_RE.finditer(text, 0, end)]
-    return starts[index] if index < len(starts) else end + 1
+    last token."""
+    return token_column(text, index, len(text.rstrip()) + 1)
 
 
 # a parsed sub-formula: its definite clauses, or its truth table

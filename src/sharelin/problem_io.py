@@ -9,19 +9,19 @@ Format (line oriented; ``#`` starts a comment)::
     pos x -> (y & z)       # optional groundness formula, default true
     eq x = f(y, z)         # any number, order preserved
 
-Sections appear in exactly that order. Identifiers match
-:data:`sharelin.terms.IDENTIFIER`. A bare identifier in a term must be a
-declared variable; constants are zero-argument applications, written
-``a()``. A term nests at most :data:`MAX_TERM_DEPTH` argument lists. The
-canonical printer emits text this parser accepts, so analysis results are
-themselves valid inputs.
+Sections appear in exactly that order. Lines split into the tokens of
+:data:`sharelin.terms.TOKEN_RE`, the one regex of both grammars, and
+identifiers match :data:`sharelin.terms.IDENTIFIER`. A bare identifier in
+a term must be a declared variable; constants are zero-argument
+applications, written ``a()``. A term nests at most
+:data:`MAX_TERM_DEPTH` argument lists. The canonical printer emits text
+this parser accepts, so analysis results are themselves valid inputs.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
-from itertools import cycle, islice, repeat
+from itertools import cycle, repeat
 from operator import getitem, lshift, or_
 
 from .amgu import AnalysisProblem
@@ -37,8 +37,8 @@ from .groundness import (
 )
 from .sharing import SharingTriple
 from .terms import (
-    IDENTIFIER, MAX_VARS, RESERVED_NAME, Compound, Equation, Term, Variable, VariableUniverse,
-    bit_positions,
+    MAX_VARS, RESERVED_NAME, TOKEN_RE, Compound, Equation, Term, Variable, VariableUniverse,
+    bit_positions, token_column,
 )
 
 
@@ -59,9 +59,6 @@ class SemanticError(ProblemError):
     """Grammatically fine, but inconsistent with the declared universe."""
 
 
-# One match per token: an identifier, or any other non-space character on
-# its own.
-_TOKEN_RE = re.compile(rf"\s*({IDENTIFIER}|\S)")
 # Terms are walked recursively (parsing, hashing, printing, concrete
 # unification), so nesting is bounded well inside Python's recursion limit.
 MAX_TERM_DEPTH = 256
@@ -74,24 +71,21 @@ class _Line:
     ``pos``.
 
     An error reports the 1-based column of the token it stops at, given by
-    its index, or one past the line's end. Columns are found only then, by
-    matching the same regex again.
+    its index, or one past the line's end.
     """
 
     def __init__(self, body: str, line: int):
         # trailing space is cut first: the regex would rescan it from each
         # of its positions
         self.end = len(body.rstrip())
-        self.tokens = _TOKEN_RE.findall(body, 0, self.end)
+        self.tokens = TOKEN_RE.findall(body, 0, self.end)
         self.tokens.append("")
         self.pos = 0
         self.body = body
         self.line = line
 
     def column(self, index: int) -> int:
-        tokens = _TOKEN_RE.finditer(self.body, 0, self.end)
-        match = next(islice(tokens, index, None), None)
-        return len(self.body) + 1 if match is None else match.start(1) + 1
+        return token_column(self.body, index, len(self.body) + 1)
 
     def error(self, expected: str, index: int) -> ParseError:
         token = self.tokens[index]

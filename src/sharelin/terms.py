@@ -1,10 +1,12 @@
-"""Finite first-order terms, equations, and ordered variable universes."""
+"""Finite first-order terms, equations and ordered variable universes, with
+the identifier and the one token regex of both grammars."""
 
 from __future__ import annotations
 
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -89,6 +91,17 @@ IDENTIFIER = r"[a-z][a-zA-Z0-9_]*"
 _IDENTIFIER_RE = re.compile(IDENTIFIER)
 # an identifier that a ``pos`` line always reads as the formula constant
 RESERVED_NAME = "true"
+# One match per token of both grammars: an arrow, an identifier or any other
+# non-space character; an error outside a formula prints a token's first one.
+TOKEN_RE = re.compile(rf"\s*(<->|->|{IDENTIFIER}|\S)")
+
+
+def token_column(text: str, index: int, past_end: int) -> int:
+    """The 1-based column of token ``index`` of ``text``, else ``past_end``.
+    Only errors need it. Trailing space is cut: the regex would rescan it."""
+    tokens = TOKEN_RE.finditer(text, 0, len(text.rstrip()))
+    match = next(islice(tokens, index, None), None)
+    return past_end if match is None else match.start(1) + 1
 
 
 @dataclass(frozen=True)

@@ -517,6 +517,36 @@ def term_walking_ground_trimmed_region(universe, rel_free, rel_other, free_var, 
     return tuple(sorted(region))
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_ground_trimmed_region_matches_term_walk_and_models(data):
+    """The one mask test per candidate keeps what the term-walking trim
+    keeps, and what trimming by the explicit models of the two clauses
+    keeps."""
+    n = data.draw(st.integers(1, 6))
+    universe = VariableUniverse.of_names(f"v{i}" for i in range(n))
+    masks = st.integers(0, universe.full_mask)
+    i = data.draw(st.integers(0, n - 1))
+    fbit = 1 << i
+    rel_free = data.draw(st.lists(masks.map(lambda g: g | fbit), max_size=4, unique=True))
+    rel_other = data.draw(st.lists(masks.filter(bool), max_size=4, unique=True))
+    other_mask = data.draw(masks)
+    free = data.draw(masks) | fbit
+    region = _ground_trimmed_region(rel_free, rel_other, fbit, other_mask, free)
+    free_var = universe.variables[i]
+    walked = term_walking_ground_trimmed_region(
+        universe, rel_free, rel_other, free_var, other_mask, free
+    )
+    assert region == walked
+    modelled = set()
+    for g in rel_free:
+        required = other_mask & ~(g & free)
+        clauses = PosFormula.of_clauses(universe, ((fbit, required), (required, fbit)))
+        candidates = pairwise_union((g,), rel_other, free)
+        modelled.update(trim(table_of(universe, clauses.models), candidates))
+    assert region == tuple(sorted(modelled))
+
+
 def term_multiplicity(t):
     """0 for ground terms, 1 for linear ones, 2 when some variable repeats.
     The library function that ``term_walking_fold`` called, verbatim."""

@@ -151,6 +151,8 @@ def test_variable_named_true_exits_with_one_message(problem_file, capsys):
          "limit exceeded: 19 sharing groups exceed the decomposition bound 16"),
         ("analyze", "vars x\nsharing {x}\n", ["--file-bound", "0"],
          "argument --file-bound: expected a positive integer, not '0'"),
+        ("analyze", "vars x\nsharing {x}\n", ["--file-bound", "two"],
+         "argument --file-bound: expected a positive integer, not 'two'"),
         ("oracle", None, ["--max-vars", "0"],
          "argument --max-vars: expected a positive integer, not '0'"),
         ("oracle", None, ["--max-eqs", "0"],
@@ -183,6 +185,7 @@ def test_variable_named_true_exits_with_one_message(problem_file, capsys):
          "semantic error: line 3, column 507: formula nested deeper than 100 levels"),
     ],
     ids=["pos-not-positive", "pos-over-bound", "file-over-bound", "file-bound-zero",
+         "file-bound-word",
          "oracle-max-vars-zero", "oracle-max-eqs-zero", "oracle-file-bound-zero",
          "oracle-file-bound-negative", "oracle-trials-negative", "oracle-max-depth-negative",
          "eq-nested-past-bound", "replay-e0-nested-past-bound", "oracle-max-depth-past-bound",
@@ -510,6 +513,18 @@ def test_compare_rows_and_marks(problem_file, capsys):
     assert "# amgu2.S < amgu1.S" in lines
     assert "# amgu3.S = amgu2.S" in lines
     assert "# file.S = amgu2.S" in lines
+
+
+def test_compare_marks_supersets_and_incomparable_states(problem_file, capsys):
+    # amgu3 and the reference are incomparable: on the first file amgu3 is
+    # strictly sharper, on the second each keeps a group the other drops
+    for text, mark in [
+        ("vars x y\nsharing {y}\nfree y\neq y = f(y)\n", ">"),
+        ("vars x y\nsharing {x} {x,y}\nfree x y\neq y = f(y)\n", "<>"),
+    ]:
+        code, out, _ = run(["compare", problem_file(text)], capsys)
+        assert code == 0
+        assert f"# file.S {mark} amgu3.S" in out.splitlines()
 
 
 def test_compare_skips_reference_beyond_bound(problem_file, capsys):

@@ -17,6 +17,7 @@ from sharelin.concrete import (
     SolvedFormMasks,
     UnifyOutcome,
     _groups,
+    _solve,
     binding_multiplicity,
     describes,
     groundness_abstraction,
@@ -924,6 +925,82 @@ def test_class_masks_match_solved_form_masks(case):
     rsf = outcome.solved_form
     expected = None if rsf is None else rsf_solved_form_masks(rsf, universe)
     assert system_masks(system, universe) == expected
+
+
+def memoizing_unify(equations: Iterable[Equation]) -> UnifyOutcome:
+    """``unify`` before it picked representatives in one pass and dropped its
+    render memo and cycle guard, verbatim.
+
+    Union-find unification over the term graph, without occurs check.
+
+    Cyclic solutions are allowed (rational-tree semantics); the only failure
+    is a clash of functors or arities. Each class is represented by its
+    earliest-created variable, a choice that is immaterial to every exported
+    query.
+    """
+    classes = _solve(equations)
+    if classes is None:
+        return UnifyOutcome(None)
+    node_var, node_fun, node_args, class_of, schema, var_ids = classes
+    class_vars: dict[int, list[int]] = {}
+    for nid in var_ids.values():
+        class_vars.setdefault(class_of[nid], []).append(nid)
+    rep: dict[int, Variable] = {
+        root: node_var[min(ids)] for root, ids in class_vars.items()
+    }
+
+    memo: dict[int, Term] = {}
+    rendering: set[int] = set()
+
+    def render_class(root: int) -> Term:
+        # Classes without a variable are rendered structurally; every cycle
+        # in the class graph passes through a variable class, so this
+        # recursion bottoms out (the guard is defensive).
+        if root in rep:
+            return rep[root]
+        if root in memo:
+            return memo[root]
+        if root in rendering:
+            raise RuntimeError("variable-free cycle in the term graph")
+        rendering.add(root)
+        s = schema[root]
+        out = Compound(
+            node_fun[s][0], tuple(render_class(class_of[c]) for c in node_args[s])
+        )
+        rendering.discard(root)
+        memo[root] = out
+        return out
+
+    bindings: dict[Variable, Term] = {}
+    for root, ids in class_vars.items():
+        rep_var = rep[root]
+        for nid in ids:
+            v = node_var[nid]
+            if v != rep_var:
+                bindings[v] = rep_var
+        s = schema.get(root)
+        if s is not None:
+            bindings[rep_var] = Compound(
+                node_fun[s][0], tuple(render_class(class_of[c]) for c in node_args[s])
+            )
+    return UnifyOutcome(RationalSolvedForm.of(bindings))
+
+
+@settings(max_examples=500, deadline=None)
+@given(class_systems())
+@example((WXYZU, (Equation(x, f(g_(f(Compound("a")), g_(Compound("b"), Compound("b"))))),)))
+@example((WXYZU, (Equation(x, f(g_(y, f(Compound("a"))))), Equation(y, g_(x, f(Compound("a")))))))
+@example((WXYZU, (Equation(x, g_(f(Compound("a")), u)), Equation(u, g_(f(Compound("a")), x)))))
+@example((WXYZU, (Equation(f(g_(Compound("a"), Compound("a"))), f(g_(Compound("a"), Compound("a")))),
+                  Equation(x, f(g_(Compound("a"), Compound("a")))))))
+@example((WXYZU, (Equation(x, f(f(Compound("a")))), Equation(y, f(f(Compound("a")))), Equation(x, y))))
+@example((WXYZU, (Equation(w, x), Equation(x, y), Equation(y, z), Equation(z, f(w)))))
+def test_one_pass_unify_matches_memoizing_unify(case):
+    """Representatives picked in one pass and variable-free classes rendered
+    without a memo give the solved forms of the memoizing renderer, nested
+    variable-free compounds and merged variable-free classes included."""
+    _, system = case
+    assert unify(system) == memoizing_unify(system)
 
 
 # The solved-form views before a solved form's bindings were solved as

@@ -243,8 +243,12 @@ def scanner_parse_problem(text: str) -> AnalysisProblem:
 # ---- grammar-shaped text ----------------------------------------------------
 
 DECLARED = ["x", "y", "z1", "v_2", "aB"]
-# undeclared, uppercase, digit-leading and stray tokens, and every bracket
-STRAY = ["q", "X", "Foo", "1x", "_u", "@", "\u00e9", "{", "}", "(", ")", ",", "=", "->", "#"]
+# undeclared, uppercase, digit-leading and stray tokens, every bracket, and
+# arrows and their parts, which problem lines read with the formula's regex
+STRAY = [
+    "q", "X", "Foo", "1x", "_u", "@", "\u00e9", "{", "}", "(", ")", ",", "=", "->", "#",
+    "<->", "<-", "-", ">",
+]
 # tokens are joined by one of these; "" lets two identifiers run together
 SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\xa0", "\u3000", ""]
 UNIVERSE = VariableUniverse.of_names(DECLARED)

@@ -13,7 +13,6 @@ from sharelin.amgu import AlgorithmId, AmguConfig, AnalysisProblem, analyze
 from sharelin.fuzz import FuzzLimits, exact_abstraction, generate_instance
 from sharelin.groundness import parse_formula
 from sharelin.problem_io import (
-    _TOKEN_RE,
     _Line,
     ParseError,
     SemanticError,
@@ -25,6 +24,7 @@ from sharelin.problem_io import (
     print_problem,
 )
 from sharelin.sharing import SharingTriple
+from sharelin.terms import TOKEN_RE as _TOKEN_RE
 from sharelin.terms import Compound, Equation, Variable, VariableUniverse, bit_positions
 
 

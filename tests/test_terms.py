@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sharelin import groundness, problem_io
+from sharelin import groundness, problem_io, terms
+from sharelin.amgu import amgu1
+from sharelin.sharing import SharingTriple
 from sharelin.terms import (
     Compound,
     TermSummary,
@@ -34,6 +36,15 @@ def test_term_multiplicity():
     assert XYZ.summarize(Compound("a")) == TermSummary(0, 0, 0)
     assert XYZ.summarize(Compound("f", (x, y, z))) == TermSummary(0b111, 0, 0)
     assert XYZ.summarize(Compound("f", (x, Compound("g", (x,))))) == TermSummary(0b1, 0b1, 0)
+
+
+def test_summary_of_a_compound_names_a_variable_outside_the_universe():
+    q = Variable("q")
+    state = SharingTriple.from_names(XYZ, [("x",)], free=("x",))
+    with pytest.raises(ValueError, match="^variable 'q' is not in the universe$"):
+        XYZ.summarize(Compound("f", (x, Compound("g", (q,)))))
+    with pytest.raises(ValueError, match="^variable 'q' is not in the universe$"):
+        amgu1(state, Compound("f", (q,)), x)
 
 
 def test_variable_counts():
@@ -113,9 +124,14 @@ def test_universe_accepts_identifiers():
 
 
 def test_token_regexes_embed_the_identifier():
-    # both tokenizers build their regexes from terms.IDENTIFIER
-    assert problem_io._TOKEN_RE.pattern == r"\s*([a-z][a-zA-Z0-9_]*|\S)"
-    assert groundness._TOKEN_RE.pattern == r"\s*(<->|->|[()&|~]|[a-z][a-zA-Z0-9_]*|\S)"
+    # one regex, built from terms.IDENTIFIER, tokenizes both grammars
+    assert terms.TOKEN_RE.pattern == r"\s*(<->|->|[a-z][a-zA-Z0-9_]*|\S)"
+    assert problem_io.TOKEN_RE is terms.TOKEN_RE
+    assert groundness.TOKEN_RE is terms.TOKEN_RE
+    text = "x1 <-> (y & ~z) -> w"
+    tokens = ["x1", "<->", "(", "y", "&", "~", "z", ")", "->", "w"]
+    assert problem_io._Line(text, 1).tokens == [*tokens, ""]
+    assert groundness._tokenize(text) == tokens
 
 
 def test_functor_identity_includes_arity():
